@@ -15,7 +15,6 @@ import numpy as np
 
 from . import fieldsim, io, likelihood, mcmc, synthgen
 from .config import RunConfig
-from .core import ParentSequence, initial_augmentation, is_compatible
 from .errors import (
     CapacityError,
     DatasetError,
@@ -36,17 +35,8 @@ _NUMERIC_ERRORS = (NumericError, CapacityError, DegenerateRegionError)
 
 
 def _load_inputs(cfg: RunConfig):
-    parent = io.load_parent(cfg.parent)
-    boreholes = io.load_boreholes(cfg.boreholes)
-    bad = [
-        b.id for b in boreholes
-        if not is_compatible([f for f, _ in b.records], parent)
-    ]
-    if bad:
-        raise IncompatibleSequenceError(
-            "boreholes incompatible with the parent sequence: " + ", ".join(bad)
-        )
-    return parent, boreholes
+    """Parent and boreholes; compatibility is checked where the model is built."""
+    return io.load_parent(cfg.parent), io.load_boreholes(cfg.boreholes)
 
 
 def _init_table(parent, boreholes, cfg: RunConfig) -> str:
@@ -70,14 +60,14 @@ def cmd_fit(args) -> int:
     if args.dry_run:
         print(_init_table(parent, boreholes, cfg))
         return 0
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     samples, diagnostics = mcmc.run_chain(
         boreholes, parent, cfg.priors, cfg.proposals,
         n_iter=cfg.n_iter, burn_in=cfg.burn_in, thin=cfg.thin,
         seed=args.seed, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies,
         cdf_tol=cfg.cdf_tol, alpha_init=cfg.alpha_init,
     )
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     groups = diagnostics["groups"]
     io.save_samples(out / "samples.csv", samples, groups)
     io.save_configurations(out / "configurations.csv", samples, parent)
@@ -105,22 +95,19 @@ def _make_grid(cfg: RunConfig, boreholes=None) -> fieldsim.SimGrid:
     return grid
 
 
-def _select_sample(samples_rows, config_rows, selector):
-    iterations = [it for it, _, _ in samples_rows]
+def _select_sample(samples_rows, config_rows, selector) -> mcmc.PosteriorSample:
+    samples = [
+        mcmc.PosteriorSample(it, params, tuple(config_rows[it]), loglik)
+        for it, params, loglik in samples_rows
+    ]
     if selector == "most-likely":
-        best = 0
-        for i in range(1, len(samples_rows)):
-            if samples_rows[i][2] > samples_rows[best][2]:
-                best = i
-        idx = best
-    else:
-        idx = int(selector)
-        if not 0 <= idx < len(samples_rows):
-            raise IncompatibleSequenceError(
-                f"sample index {idx} out of range (0..{len(samples_rows) - 1})"
-            )
-    it, params, _ = samples_rows[idx]
-    return it, params, config_rows[it]
+        return mcmc.select_most_likely(samples)
+    idx = int(selector)
+    if not 0 <= idx < len(samples):
+        raise IncompatibleSequenceError(
+            f"sample index {idx} out of range (0..{len(samples) - 1})"
+        )
+    return samples[idx]
 
 
 def cmd_simulate(args) -> int:
@@ -147,23 +134,21 @@ def cmd_simulate(args) -> int:
             )
         groups, samples_rows = io.load_samples(samples_path)
         config_rows = io.load_configurations(configs_path)
-        it, params_by_group, configs = _select_sample(
-            samples_rows, config_rows, args.selector
-        )
+        sample = _select_sample(samples_rows, config_rows, args.selector)
         model = mcmc.ThicknessModel(
             boreholes, parent, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies
         )
         params_by_layer = [
-            params_by_group[model.group_of[j]] for j in range(len(parent))
+            sample.params[model.group_of[j]] for j in range(len(parent))
         ]
-        by_id = {cfg_.borehole_id: cfg_ for cfg_ in configs}
+        by_id = {cfg_.borehole_id: cfg_ for cfg_ in sample.configs}
         ordered = [by_id[b.id] for b in boreholes]
         grid = _make_grid(cfg, boreholes)
         stack = fieldsim.simulate_conditional(
             grid, params_by_layer, parent, ordered,
             [[b.x, b.y] for b in boreholes], args.seed,
         )
-        print(f"conditional simulation from sample at iteration {it}")
+        print(f"conditional simulation from sample at iteration {sample.iteration}")
 
     if stack.grid.kind == "grid":
         io.save_raster(out / "raster.csv", stack)
@@ -241,10 +226,9 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     cfg = RunConfig.from_file(args.config)
     parent, boreholes = _load_inputs(cfg)
-    for b in boreholes:
-        initial_augmentation(b, parent)
+    table = _init_table(parent, boreholes, cfg)
     print(f"{len(boreholes)} boreholes compatible with the {len(parent)}-layer parent")
-    print(_init_table(parent, boreholes, cfg))
+    print(table)
     return 0
 
 

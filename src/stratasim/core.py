@@ -6,12 +6,14 @@ thickness in the corresponding augmented configuration.  The mapping
 ``observe`` projects a full-length thickness vector back onto the observed
 records (drop zeros, merge adjacent same-facies runs).  Split/Merge/Displace
 redistribute observed thickness among same-facies layers without changing the
-observed records.
+observed records.  Which moves do so is decided in closed form by one
+predicate, ``_feasible``, shared by ``enumerate_moves`` and ``apply_move``;
+no candidate is checked by re-running ``observe``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -205,78 +207,60 @@ def initial_augmentation(
     return AugmentedConfiguration(obs.id, z)
 
 
-def _image_preserved(cfg, parent, probe_z) -> bool:
-    """Feasibility is 'same observed image', checked by re-running observe."""
-    try:
-        return observe(cfg.with_thicknesses(probe_z), parent) == observe(cfg, parent)
-    except InvalidConfigurationError:
+def _feasible(z, parent: ParentSequence, kind: str, j: int, j2: int) -> bool:
+    """Closed-form move feasibility: does the move keep the observed records?
+
+    Moving mass between layers ``j`` and ``j2`` leaves the observed image
+    unchanged iff both layers share a facies and every positive layer
+    strictly between them has that facies too (so both sit in one observed
+    run), and the kind's sign test holds: a split needs ``z[j]`` of at least
+    two quanta and an empty ``z[j2]``; a merge needs both layers positive; a
+    displace needs both positive and ``j < j2`` (``u`` covers both
+    directions).  Out-of-range indices are infeasible.
+    """
+    layers = parent.layers
+    if j == j2 or not (0 <= j < len(layers) and 0 <= j2 < len(layers)):
         return False
+    facies = layers[j]
+    if layers[j2] != facies:
+        return False
+    if kind == "split":
+        if not (z[j] >= 2 * THICKNESS_QUANTUM and z[j2] == 0):
+            return False
+    elif not (z[j] > 0 and z[j2] > 0 and (kind == "merge" or j < j2)):
+        return False
+    lo, hi = min(j, j2), max(j, j2)
+    return all(z[k] <= 0 or layers[k] == facies for k in range(lo + 1, hi))
 
 
 def enumerate_moves(
     cfg: AugmentedConfiguration, parent: ParentSequence, kind: str
 ) -> list[Move]:
-    """All feasible moves of one kind for this configuration.
+    """All feasible moves of one kind for this configuration, by ``j`` then ``j2``.
 
     Split: a positive layer donates part of its mass to an empty same-facies
     layer.  Merge (directed): layer ``j2`` collapses onto layer ``j``; both
     directions are enumerated so every compatible support stays reachable.
     Displace: the boundary between two positive same-facies layers moves.
-    Feasibility of every candidate is verified constructively by comparing
-    observed images.
+    Feasibility is the closed-form rule of ``_feasible``.
     """
     if kind not in MOVE_KINDS:
         raise InfeasibleMoveError(f"unknown move kind {kind!r}")
-    z = cfg.thicknesses
+    z = cfg.thicknesses.tolist()
     M = len(parent)
-    moves = []
-    if kind == "split":
-        for j in range(M):
-            if z[j] < 2 * THICKNESS_QUANTUM:
-                continue
-            for j2 in range(M):
-                if j2 == j or z[j2] != 0 or parent.layers[j2] != parent.layers[j]:
-                    continue
-                half = snap_thickness(z[j] / 2.0)
-                probe = z.copy()
-                probe[j] = z[j] - half
-                probe[j2] = half
-                if _image_preserved(cfg, parent, probe):
-                    moves.append(Move("split", j, j2))
-    elif kind == "merge":
-        # directed: mass goes to layer j, layer j2 becomes empty
-        for j in range(M):
-            if z[j] <= 0:
-                continue
-            for j2 in range(M):
-                if j2 == j or z[j2] <= 0 or parent.layers[j2] != parent.layers[j]:
-                    continue
-                probe = z.copy()
-                probe[j] = z[j] + z[j2]
-                probe[j2] = 0.0
-                if _image_preserved(cfg, parent, probe):
-                    moves.append(Move(kind, j, j2))
-    else:  # displace: unordered positive pairs, u covers both directions
-        for j in range(M):
-            if z[j] <= 0:
-                continue
-            for j2 in range(j + 1, M):
-                if z[j2] <= 0 or parent.layers[j2] != parent.layers[j]:
-                    continue
-                probe = z.copy()
-                probe[j] = z[j] + z[j2]
-                probe[j2] = 0.0
-                if _image_preserved(cfg, parent, probe):
-                    moves.append(Move(kind, j, j2))
-    return moves
+    return [
+        Move(kind, j, j2)
+        for j in range(M)
+        for j2 in range(M)
+        if _feasible(z, parent, kind, j, j2)
+    ]
 
 
 def apply_move(
     cfg: AugmentedConfiguration, parent: ParentSequence, move: Move
 ) -> AugmentedConfiguration:
     """Apply a feasible move, conserving total thickness exactly."""
-    feasible = enumerate_moves(cfg, parent, move.kind)
-    if not any(m.j == move.j and m.j2 == move.j2 for m in feasible):
+    if not _feasible(cfg.thicknesses, parent, move.kind, move.j, move.j2):
         raise InfeasibleMoveError(
             f"{move.kind} ({move.j}, {move.j2}) is not feasible for this configuration"
         )

@@ -175,21 +175,29 @@ def simulate_unconditional(
 def _match_boreholes(grid: SimGrid, locations) -> tuple[np.ndarray, np.ndarray]:
     """Snap boreholes to grid nodes within half a cell; append the rest.
 
+    A node takes at most one borehole, the nearest to it (the earliest on a
+    tie); any other borehole that would snap to it is appended at its exact
+    location, so no point is conditioned twice.
     Returns (sim_points, node_index_per_borehole).
     """
     pts = grid.points()
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     half = grid.spacing / 2.0
-    idx = np.empty(len(locs), dtype=int)
-    extra = []
+    nearest, owner = [], {}
     for i, loc in enumerate(locs):
         d = np.linalg.norm(pts - loc, axis=1)
         k = int(np.argmin(d))
-        if d[k] <= half:
+        nearest.append((k, d[k]))
+        if d[k] <= half and (k not in owner or d[k] < nearest[owner[k]][1]):
+            owner[k] = i
+    idx = np.empty(len(locs), dtype=int)
+    extra = []
+    for i, (k, _) in enumerate(nearest):
+        if owner.get(k) == i:
             idx[i] = k
         else:
             idx[i] = len(pts) + len(extra)
-            extra.append(loc)
+            extra.append(locs[i])
     if extra:
         pts = np.vstack([pts, np.array(extra)])
     return pts, idx

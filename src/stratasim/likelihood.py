@@ -1,10 +1,11 @@
-"""Thickness transform, per-layer and complete log-likelihood, moments, TCD.
+"""Thickness transform, per-layer log-likelihood, moments, TCD.
 
 Thickness of one layer is z = mu * (w - tau)^beta for a latent standardized
 Gaussian w above the threshold tau = Phi^-1(1 - p), and exactly zero below.
 The per-layer likelihood combines a Gaussian density over the positive-site
 latents, the transform Jacobian, and the orthant probability that the
-zero-site latents sit below tau given the positive ones.
+zero-site latents sit below tau given the positive ones.  The complete-data
+log-likelihood is the sum of the layer terms, ``ThicknessModel.all_terms``.
 """
 
 from __future__ import annotations
@@ -148,17 +149,6 @@ def layer_data_from_columns(z_col, locations) -> LayerData:
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     pos = z > 0
     return LayerData(z[pos], locs[pos], locs[~pos])
-
-
-def complete_loglik(configs, locations, params_by_layer, cdf_tol: float = 1e-4) -> float:
-    """Sum of independent layer log-likelihoods, in fixed layer order."""
-    z = np.array([cfg.thicknesses for cfg in configs])  # (n, M)
-    if z.shape[1] != len(params_by_layer):
-        raise ParameterError("number of layers inconsistent between configs and params")
-    total = 0.0
-    for j, params in enumerate(params_by_layer):
-        total += layer_loglik(layer_data_from_columns(z[:, j], locations), params, cdf_tol)
-    return total
 
 
 def thickness_moments(mu: float, p: float, beta: float = 1.0):

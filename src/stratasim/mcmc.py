@@ -3,15 +3,17 @@
 One iteration sweeps every parameter kind over every parameter group, then
 proposes one Split/Merge/Displace move per borehole.  Parameter proposals are
 symmetric uniform random walks accepted on the likelihood-times-prior ratio;
-configuration moves are accepted on the bare likelihood ratio.  Per-layer
-log-likelihood terms are cached and audited against full recomputation.
+configuration moves are accepted on the bare likelihood ratio.  Both updates
+rescore the affected layers and then accept and commit through one path,
+whose rule is ``metropolis_accept``.  Per-layer log-likelihood terms are
+cached and audited against full recomputation.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +30,12 @@ from .core import (
     observe,
     snap_thickness,
 )
-from .errors import DatasetError, NumericError, ParameterError, StrataError
+from .errors import (
+    IncompatibleSequenceError,
+    NumericError,
+    ParameterError,
+    StrataError,
+)
 from .likelihood import LayerParams, init_from_empirical, layer_data_from_columns
 
 log = logging.getLogger(__name__)
@@ -105,20 +112,13 @@ def _in_support(which: str, value: float) -> bool:
     return value > 0  # mu, alpha
 
 
-def metropolis_step(log_target, current, propose, rng):
-    """One generic Metropolis step with a symmetric proposal.
+def metropolis_accept(log_ratio: float, rng) -> bool:
+    """Metropolis rule: accept with probability min(1, exp(log_ratio)).
 
-    Returns (new_state, accepted).  ``propose(current, rng)`` must be
-    symmetric; ``log_target`` may return -inf.
+    Always draws exactly one uniform, whatever the ratio, so the random
+    stream does not depend on the outcome.
     """
-    cand = propose(current, rng)
-    lt_cur = log_target(current)
-    lt_new = log_target(cand)
-    if lt_new == -math.inf:
-        return current, False
-    if math.log(rng.random()) < lt_new - lt_cur:
-        return cand, True
-    return current, False
+    return math.log(rng.random()) < log_ratio
 
 
 class ThicknessModel:
@@ -139,7 +139,7 @@ class ThicknessModel:
     ):
         bad = [b.id for b in boreholes if not is_compatible([f for f, _ in b.records], parent)]
         if bad:
-            raise DatasetError(
+            raise IncompatibleSequenceError(
                 f"boreholes incompatible with the parent sequence: {', '.join(bad)}"
             )
         self.boreholes = list(boreholes)
@@ -248,26 +248,15 @@ def update_parameter(
     if not _in_support(which, new_val):
         return False
     cand = replace(cur, **{which: float(new_val)})
-    layers = model.layers_of[group]
-    try:
-        new_terms = {
-            j: model.layer_term(model.layer_column(state.configs, j), cand)
-            for j in layers
-        }
-    except (NumericError, StrataError) as exc:
-        log.warning("parameter proposal rejected after numeric failure: %s", exc)
-        return False
-    delta = sum(new_terms[j] - state.layer_terms[j] for j in layers)
+    log_prior_ratio = 0.0
     if which in ("mu", "alpha"):
-        delta += pc_log_prior(cand.alpha, cand.mu, priors) - pc_log_prior(
+        log_prior_ratio = pc_log_prior(cand.alpha, cand.mu, priors) - pc_log_prior(
             cur.alpha, cur.mu, priors
         )
-    if math.log(rng.random()) < delta:
-        state.params[group] = cand
-        for j in layers:
-            state.layer_terms[j] = new_terms[j]
-        return True
-    return False
+    return _accept_and_commit(
+        model, state, model.layers_of[group], state.configs,
+        {**state.params, group: cand}, log_prior_ratio, "parameter", rng,
+    )
 
 
 def update_configuration(
@@ -301,29 +290,50 @@ def update_configuration(
         if not 0.0 < u < total:
             return kind, "rejected"
         move = move.with_u(u)
-    new_cfg = apply_move(cfg, model.parent, move)
+    configs = list(state.configs)
+    configs[k] = apply_move(cfg, model.parent, move)
+    accepted = _accept_and_commit(
+        model, state, sorted({move.j, move.j2}), configs, state.params,
+        0.0, "move", rng,
+    )
+    return kind, "accepted" if accepted else "rejected"
 
-    affected = sorted({move.j, move.j2})
-    new_configs = list(state.configs)
-    new_configs[k] = new_cfg
+
+def _accept_and_commit(
+    model: ThicknessModel,
+    state: ChainState,
+    layers,
+    configs,
+    params,
+    log_prior_ratio: float,
+    what: str,
+    rng,
+) -> bool:
+    """Rescore ``layers`` under a candidate (configs, params); accept and commit.
+
+    A numeric failure while scoring rejects the candidate without drawing a
+    uniform.  Otherwise ``metropolis_accept`` decides on the likelihood ratio
+    of the rescored layers plus ``log_prior_ratio``; on acceptance the
+    candidate and its layer terms replace the state's.
+    """
     try:
         new_terms = {
             j: model.layer_term(
-                model.layer_column(new_configs, j),
-                state.params[model.group_of[j]],
+                model.layer_column(configs, j), params[model.group_of[j]]
             )
-            for j in affected
+            for j in layers
         }
     except (NumericError, StrataError) as exc:
-        log.warning("move proposal rejected after numeric failure: %s", exc)
-        return kind, "rejected"
-    delta = sum(new_terms[j] - state.layer_terms[j] for j in affected)
-    if math.log(rng.random()) < delta:
-        state.configs[k] = new_cfg
-        for j in affected:
-            state.layer_terms[j] = new_terms[j]
-        return kind, "accepted"
-    return kind, "rejected"
+        log.warning("%s proposal rejected after numeric failure: %s", what, exc)
+        return False
+    delta = sum(new_terms[j] - state.layer_terms[j] for j in layers)
+    if not metropolis_accept(delta + log_prior_ratio, rng):
+        return False
+    state.configs = configs
+    state.params = params
+    for j in layers:
+        state.layer_terms[j] = new_terms[j]
+    return True
 
 
 def _audit(model: ThicknessModel, state: ChainState, tol: float = 1e-6):
@@ -331,10 +341,10 @@ def _audit(model: ThicknessModel, state: ChainState, tol: float = 1e-6):
     fresh = model.all_terms(state.configs, state.params)
     drift = float(np.max(np.abs(fresh - state.layer_terms))) if fresh.size else 0.0
     if drift > tol:
-        raise RuntimeError(f"cached log-likelihood drifted by {drift:.3e} at audit")
+        raise NumericError(f"cached log-likelihood drifted by {drift:.3e} at audit")
     for b, cfg in zip(model.boreholes, state.configs):
         if observe(cfg, model.parent) != list(b.records):
-            raise RuntimeError(
+            raise NumericError(
                 f"configuration at borehole {b.id} no longer maps to its records"
             )
 

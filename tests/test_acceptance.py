@@ -30,7 +30,7 @@ from stratasim.likelihood import (
     tcd,
     thickness_moments,
 )
-from stratasim.mcmc import PriorSpec, ProposalSpec, metropolis_step, run_chain
+from stratasim.mcmc import PriorSpec, ProposalSpec, metropolis_accept, run_chain
 from stratasim.synthgen import SyntheticScenario, generate
 
 
@@ -165,9 +165,9 @@ def test_criterion_07_grid_posterior():
     i = 9
     thin = 10
     for step in range(100_000):
-        i, _ = metropolis_step(
-            lambda j: logs[j], i, lambda j, r: int(r.integers(19)), rng
-        )
+        cand = int(rng.integers(19))
+        if metropolis_accept(logs[cand] - logs[i], rng):
+            i = cand
         if step % thin == thin - 1:
             counts[i] += 1
     expected = probs * counts.sum()

@@ -1,5 +1,8 @@
 """Run configuration parsing and the command-line workflows end to end."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,16 @@ class TestRunConfig:
         with pytest.raises(DatasetError, match="missing"):
             RunConfig.from_file(path)
 
+    def test_readme_config_block_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "run.cfg"
+        path.write_text(block)
+        cfg = RunConfig.from_file(path)
+        assert cfg.grid_origin == (0.0, 0.0) and cfg.grid_nx == 50
+        assert cfg.t0_policy == "constant" and cfg.transect_n == 101
+        assert cfg.sim_params["Green"].alpha == 10.0
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -74,6 +87,16 @@ def workspace(tmp_path_factory):
     )
     assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 0
     return root, cfg
+
+
+def _write_incompatible_boreholes(path):
+    """One borehole whose Black-Red-Black log no synthetic parent order allows."""
+    path.write_text(
+        ",".join(io.BOREHOLE_HEADER) + "\n"
+        "z,5.0,5.0,0.0,0,Black,1.0\n"
+        "z,5.0,5.0,0.0,1,Red,1.0\n"
+        "z,5.0,5.0,0.0,2,Black,1.0\n"
+    )
 
 
 class TestSynth:
@@ -185,6 +208,18 @@ class TestSimulate:
         _, cfg = workspace
         assert main(["simulate", "--config", str(cfg), "--seed", "2",
                      "--mode", "conditional", "--selector", "99"]) == 3
+
+    def test_conditional_incompatible_borehole_exit_3(self, workspace, tmp_path):
+        root, cfg = workspace
+        bh = tmp_path / "bh.csv"
+        _write_incompatible_boreholes(bh)
+        cfg2 = tmp_path / "bad.cfg"
+        cfg2.write_text(cfg.read_text().replace(
+            f"boreholes = {root}/synth/boreholes.csv", f"boreholes = {bh}"
+        ))
+        assert main(["simulate", "--config", str(cfg2), "--seed", "2",
+                     "--mode", "conditional"]) == 3
+        assert main(["validate", "--config", str(cfg2)]) == 3
 
     def test_conditional_without_chain_exit_3(self, workspace, tmp_path):
         root, cfg = workspace

@@ -26,6 +26,7 @@ from stratasim.errors import (
     InfeasibleMoveError,
     InvalidConfigurationError,
 )
+from stratasim.synthgen import DEFAULT_PARENT
 
 TABLE_PARENT = ParentSequence(("Blue", "Red", "Blue", "Green", "Blue"))
 
@@ -131,6 +132,70 @@ class TestInitialAugmentation:
         assert observe(got, TABLE_PARENT) == list(obs.records)
 
 
+def _image_preserved(config, parent, probe_z) -> bool:
+    """Oracle: a probe is feasible iff re-running observe gives the same image."""
+    try:
+        return observe(config.with_thicknesses(probe_z), parent) == observe(config, parent)
+    except InvalidConfigurationError:
+        return False
+
+
+def _probe_moves(config, parent, kind):
+    """Oracle for enumerate_moves: probe every candidate pair through observe.
+
+    A split probe moves half of ``z[j]`` to the empty ``j2``; merge and
+    displace probes collapse ``j2`` onto ``j``.  Pairs are visited j-major.
+    """
+    z = config.thicknesses
+    moves = []
+    for j in range(len(parent)):
+        for j2 in range(len(parent)):
+            if j2 == j or parent.layers[j2] != parent.layers[j]:
+                continue
+            probe = z.copy()
+            if kind == "split":
+                if z[j] < 2 * THICKNESS_QUANTUM or z[j2] != 0:
+                    continue
+                half = snap_thickness(z[j] / 2.0)
+                probe[j], probe[j2] = z[j] - half, half
+            else:
+                if z[j] <= 0 or z[j2] <= 0 or (kind == "displace" and j2 < j):
+                    continue
+                probe[j], probe[j2] = z[j] + z[j2], 0.0
+            if _image_preserved(config, parent, probe):
+                moves.append(Move(kind, j, j2))
+    return moves
+
+
+_ORACLE_PARENTS = st.one_of(
+    st.sampled_from([
+        DEFAULT_PARENT,
+        TABLE_PARENT,
+        ParentSequence(("L", "S", "G", "L", "A", "G")),
+        ParentSequence(("Black", "Blue", "Black")),
+    ]),
+    st.lists(st.sampled_from("ABC"), min_size=1, max_size=9).map(
+        lambda layers: ParentSequence(tuple(layers))
+    ),
+)
+# zeros weighted up; 1 and 2 quanta sit on either side of the split threshold
+_ORACLE_THICKNESSES = st.sampled_from([
+    0.0, 0.0, 0.0, THICKNESS_QUANTUM, 2 * THICKNESS_QUANTUM, 3 * THICKNESS_QUANTUM,
+    0.25, 1.5, float(snap_thickness(2.7)),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_enumerate_moves_matches_probe_oracle(data):
+    """The closed-form rule lists exactly the probe oracle's moves, in order."""
+    parent = data.draw(_ORACLE_PARENTS)
+    z = data.draw(st.lists(_ORACLE_THICKNESSES, min_size=len(parent), max_size=len(parent)))
+    config = cfg(z)
+    for kind in ("split", "merge", "displace"):
+        assert enumerate_moves(config, parent, kind) == _probe_moves(config, parent, kind)
+
+
 class TestEnumerateMoves:
     def test_black_blue_black_split(self):
         parent = ParentSequence(("Black", "Blue", "Black"))
@@ -197,6 +262,17 @@ class TestApplyMove:
         with pytest.raises(InfeasibleMoveError):
             apply_move(cfg([1, 1, 1, 1, 1]), TABLE_PARENT,
                        Move("merge", 0, 1))
+
+    @pytest.mark.parametrize("move", [
+        Move("merge", -1, 2),
+        Move("merge", 4, 5),
+        Move("displace", 0, 9, u=0.5),
+        Move("split", 7, 0, u=0.5),
+        Move("split", 0, -3, u=0.5),
+    ])
+    def test_out_of_range_layer_rejected(self, move):
+        with pytest.raises(InfeasibleMoveError):
+            apply_move(cfg([1, 0, 1, 0, 1]), TABLE_PARENT, move)
 
 
 @settings(max_examples=25, deadline=None)

@@ -140,6 +140,23 @@ class TestConditional:
         assert np.allclose(stack.points[-1], locs[0])
         assert np.max(np.abs(stack.thickness[:, -1] - configs[0].thicknesses)) <= 1e-8
 
+    def test_boreholes_sharing_a_node_are_both_honoured(self):
+        # both boreholes lie within half a cell of node (2, 2): the nearer one
+        # keeps the node, the other is conditioned at its exact location
+        grid = SimGrid.regular((0, 0), 2.0, 4, 4)
+        locs = [[2.0, 2.1], [2.6, 2.0]]
+        configs = [
+            AugmentedConfiguration("near", np.array([1.0, 0.0, 0.5])),
+            AugmentedConfiguration("far", np.array([0.4, 0.7, 0.0])),
+        ]
+        node = 1 * grid.ny + 1
+        assert np.allclose(grid.points()[node], [2.0, 2.0])
+        stack = simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=3)
+        assert stack.points.shape[0] == grid.n_nodes + 1
+        assert np.array_equal(stack.points[-1], locs[1])
+        assert np.array_equal(stack.thickness[:, node], configs[0].thicknesses)
+        assert np.array_equal(stack.thickness[:, -1], configs[1].thicknesses)
+
     def test_zero_stays_zero(self):
         grid = SimGrid.regular((0, 0), 2.0, 8, 8)
         locs, configs = _conditioning_setup()

@@ -10,7 +10,6 @@ from stratasim.errors import ParameterError
 from stratasim.likelihood import (
     LayerData,
     LayerParams,
-    complete_loglik,
     init_from_empirical,
     jacobian_inv,
     layer_data_from_columns,
@@ -20,7 +19,8 @@ from stratasim.likelihood import (
     tcd,
     thickness_moments,
 )
-from stratasim.core import AugmentedConfiguration
+from stratasim.core import AugmentedConfiguration, BoreholeObservation, ParentSequence
+from stratasim.mcmc import ThicknessModel
 
 
 class TestTransform:
@@ -125,14 +125,26 @@ class TestLayerLoglik:
         assert got == pytest.approx(want, abs=1e-4)
 
 
+def _untied_model(locs, n_layers):
+    """One group per layer over a single-facies parent; only locations matter."""
+    parent = ParentSequence(("Blue",) * n_layers)
+    boreholes = [
+        BoreholeObservation(f"b{i}", x, y, 0.0, ()) for i, (x, y) in enumerate(locs)
+    ]
+    return ThicknessModel(boreholes, parent, tie_by_facies=False, cdf_tol=1e-4)
+
+
 class TestCompleteLoglik:
+    """The complete-data log-likelihood is the sum of ``all_terms``."""
+
     def test_single_layer_reduction(self):
         locs = [[0.0, 0.0], [3.0, 4.0]]
         configs = [
             AugmentedConfiguration("a", np.array([0.8])),
             AugmentedConfiguration("b", np.array([0.0])),
         ]
-        total = complete_loglik(configs, locs, [PARAMS])
+        model = _untied_model(locs, 1)
+        total = float(np.sum(model.all_terms(configs, {"Blue.1": PARAMS})))
         want = layer_loglik(layer_data_from_columns([0.8, 0.0], locs), PARAMS)
         assert total == pytest.approx(want, abs=1e-12)
 
@@ -143,20 +155,23 @@ class TestCompleteLoglik:
             AugmentedConfiguration("a", np.array([0.8, 1.5])),
             AugmentedConfiguration("b", np.array([0.0, 0.4])),
         ]
-        total = complete_loglik(configs, locs, [PARAMS, p2])
+        model = _untied_model(locs, 2)
+        total = float(np.sum(model.all_terms(configs, {"Blue.1": PARAMS, "Blue.2": p2})))
         want = layer_loglik(
             layer_data_from_columns([0.8, 0.0], locs), PARAMS
         ) + layer_loglik(layer_data_from_columns([1.5, 0.4], locs), p2)
         assert total == pytest.approx(want, abs=1e-12)
 
     def test_layer_permutation_symmetry(self):
-        locs = [[0.0, 0.0], [3.0, 4.0]]
         p2 = LayerParams(p=0.3, mu=2.0, beta=1.0, alpha=2.0)
+        model = _untied_model([[0.0, 0.0]], 2)
         configs = [AugmentedConfiguration("a", np.array([0.8, 1.5]))]
         configs_swapped = [AugmentedConfiguration("a", np.array([1.5, 0.8]))]
-        assert complete_loglik(configs, [locs[0]], [PARAMS, p2]) == pytest.approx(
-            complete_loglik(configs_swapped, [locs[0]], [p2, PARAMS]), abs=1e-12
+        total = np.sum(model.all_terms(configs, {"Blue.1": PARAMS, "Blue.2": p2}))
+        swapped = np.sum(
+            model.all_terms(configs_swapped, {"Blue.1": p2, "Blue.2": PARAMS})
         )
+        assert total == pytest.approx(swapped, abs=1e-12)
 
 
 class TestMoments:

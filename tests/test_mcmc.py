@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import chisquare
 
 from stratasim.core import BoreholeObservation, ParentSequence, observe
-from stratasim.errors import DatasetError, ParameterError
+from stratasim.errors import IncompatibleSequenceError, NumericError, ParameterError
 from stratasim.likelihood import LayerParams
 from stratasim.mcmc import (
     ChainState,
@@ -16,8 +16,9 @@ from stratasim.mcmc import (
     PriorSpec,
     ProposalSpec,
     ThicknessModel,
+    _audit,
     facies_shared,
-    metropolis_step,
+    metropolis_accept,
     pc_log_prior,
     run_chain,
     select_most_likely,
@@ -72,25 +73,29 @@ BH2 = BoreholeObservation("b2", 2.0, 0.0, 0.0, (("Blue", 1.4),))
 def _grid_chain_frequencies(grid, log_target_vals, n_iter, seed, thin=20):
     """Metropolis over grid indices with a symmetric uniform proposal.
 
+    Each step is accepted by the sampler's own rule, ``metropolis_accept``.
     States are counted every ``thin`` steps so the chi-squared test's
     independence assumption is a fair approximation.
     """
     rng = np.random.default_rng(seed)
     g = len(grid)
-
-    def log_target(i):
-        return log_target_vals[i]
-
-    def propose(i, rng):
-        return int(rng.integers(g))
-
     counts = np.zeros(g)
     i = g // 2
     for step in range(n_iter):
-        i, _ = metropolis_step(log_target, i, propose, rng)
+        cand = int(rng.integers(g))
+        if metropolis_accept(log_target_vals[cand] - log_target_vals[i], rng):
+            i = cand
         if step % thin == thin - 1:
             counts[i] += 1
     return counts
+
+
+@pytest.mark.parametrize("log_ratio", [-math.inf, -2.0, 0.0, 3.0, math.inf])
+def test_metropolis_accept_draws_one_uniform(log_ratio):
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    u = ref.random()
+    assert metropolis_accept(log_ratio, rng) == (math.log(u) < log_ratio)
+    assert rng.random() == ref.random()  # streams still in step
 
 
 def _chi2_pvalue(counts, probs):
@@ -178,6 +183,14 @@ class TestUpdateParameter:
         ]
         for accepted in changed:
             assert 0.0 < state.params["Blue"].p < 1.0
+
+    def test_audit_catches_corrupted_cache(self):
+        model = ThicknessModel([BH1, BH2], PARENT1)
+        state = self._state(model)
+        _audit(model, state)
+        state.layer_terms[0] += 1e-3
+        with pytest.raises(NumericError, match="drifted"):
+            _audit(model, state)
 
     def test_cache_updated_on_accept(self):
         model = ThicknessModel([BH1, BH2], PARENT1)
@@ -325,7 +338,7 @@ class TestRunChain:
 
     def test_incompatible_borehole_reported(self):
         bad = BoreholeObservation("z", 0, 0, 0, (("Black", 1.0), ("Green", 1.0)))
-        with pytest.raises(DatasetError, match="z"):
+        with pytest.raises(IncompatibleSequenceError, match="z"):
             run_chain([bad], SYNTH_PARENT, PriorSpec(), ProposalSpec(),
                       n_iter=1, burn_in=0, thin=1, seed=0)
 
