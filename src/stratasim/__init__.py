@@ -12,12 +12,10 @@ from .core import (
     Move,
     ParentSequence,
     apply_move,
-    compatible_supports,
     enumerate_moves,
     initial_augmentation,
     is_compatible,
     observe,
-    reachable_supports,
     snap_thickness,
 )
 from .errors import (
@@ -60,12 +58,10 @@ __all__ = [
     "Move",
     "ParentSequence",
     "apply_move",
-    "compatible_supports",
     "enumerate_moves",
     "initial_augmentation",
     "is_compatible",
     "observe",
-    "reachable_supports",
     "snap_thickness",
     "StrataError",
     "ParameterError",

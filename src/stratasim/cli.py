@@ -95,6 +95,29 @@ def _make_grid(cfg: RunConfig, boreholes=None) -> fieldsim.SimGrid:
     return grid
 
 
+def _load_chain(out: Path):
+    """Groups, sample rows and configurations of the fit in ``out``.
+
+    Missing files, or a sample without configurations, raise
+    ``IncompatibleSequenceError`` (exit 3).
+    """
+    samples_path = out / "samples.csv"
+    configs_path = out / "configurations.csv"
+    if not samples_path.exists() or not configs_path.exists():
+        raise IncompatibleSequenceError(
+            f"chain input needs {samples_path} and {configs_path} (run fit first)"
+        )
+    groups, samples_rows = io.load_samples(samples_path)
+    config_rows = io.load_configurations(configs_path)
+    missing = [it for it, _, _ in samples_rows if it not in config_rows]
+    if missing:
+        raise IncompatibleSequenceError(
+            f"{configs_path}: no configurations for sample iteration(s) "
+            f"{', '.join(map(str, missing))}"
+        )
+    return groups, samples_rows, config_rows
+
+
 def _select_sample(samples_rows, config_rows, selector) -> mcmc.PosteriorSample:
     samples = [
         mcmc.PosteriorSample(it, params, tuple(config_rows[it]), loglik)
@@ -102,7 +125,12 @@ def _select_sample(samples_rows, config_rows, selector) -> mcmc.PosteriorSample:
     ]
     if selector == "most-likely":
         return mcmc.select_most_likely(samples)
-    idx = int(selector)
+    try:
+        idx = int(selector)
+    except ValueError:
+        raise ParameterError(
+            f"selector must be 'most-likely' or a sample index, got {selector!r}"
+        ) from None
     if not 0 <= idx < len(samples):
         raise IncompatibleSequenceError(
             f"sample index {idx} out of range (0..{len(samples) - 1})"
@@ -126,14 +154,7 @@ def cmd_simulate(args) -> int:
         stack = fieldsim.simulate_unconditional(grid, cfg.sim_params, parent, args.seed)
     else:
         boreholes = io.load_boreholes(cfg.boreholes)
-        samples_path = out / "samples.csv"
-        configs_path = out / "configurations.csv"
-        if not samples_path.exists() or not configs_path.exists():
-            raise IncompatibleSequenceError(
-                f"conditional mode needs {samples_path} and {configs_path} (run fit first)"
-            )
-        groups, samples_rows = io.load_samples(samples_path)
-        config_rows = io.load_configurations(configs_path)
+        _, samples_rows, config_rows = _load_chain(out)
         sample = _select_sample(samples_rows, config_rows, args.selector)
         model = mcmc.ThicknessModel(
             boreholes, parent, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies
@@ -142,6 +163,12 @@ def cmd_simulate(args) -> int:
             sample.params[model.group_of[j]] for j in range(len(parent))
         ]
         by_id = {cfg_.borehole_id: cfg_ for cfg_ in sample.configs}
+        absent = [b.id for b in boreholes if b.id not in by_id]
+        if absent:
+            raise IncompatibleSequenceError(
+                f"boreholes absent from the chain at iteration {sample.iteration}: "
+                f"{', '.join(absent)}"
+            )
         ordered = [by_id[b.id] for b in boreholes]
         grid = _make_grid(cfg, boreholes)
         stack = fieldsim.simulate_conditional(
@@ -168,12 +195,7 @@ def cmd_tcd(args) -> int:
     if args.facies not in parent.facies:
         raise DatasetError(f"unknown facies {args.facies!r}; parent has {parent.facies}")
     out = Path(cfg.output_dir)
-    samples_path = out / "samples.csv"
-    configs_path = out / "configurations.csv"
-    if not samples_path.exists() or not configs_path.exists():
-        raise IncompatibleSequenceError("tcd needs chain output files (run fit first)")
-    groups, samples_rows = io.load_samples(samples_path)
-    config_rows = io.load_configurations(configs_path)
+    groups, samples_rows, config_rows = _load_chain(out)
 
     layer_idx = parent.layers_of(args.facies)
     thick = []

@@ -71,8 +71,9 @@ class BoreholeObservation:
     """Observed facies/thickness records at one location.
 
     Records are ordered top-down; thicknesses are in metres and snapped to
-    the dyadic grid at construction.  Consecutive records must carry
-    different facies (each record is a maximal run).
+    the dyadic grid at construction and must be positive.  Coordinates,
+    ground level and thicknesses must be finite.  Consecutive records must
+    carry different facies (each record is a maximal run).
     """
 
     id: str
@@ -82,13 +83,18 @@ class BoreholeObservation:
     records: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        for name, value in (("x", self.x), ("y", self.y),
+                            ("ground_level", self.ground_level)):
+            if not np.isfinite(value):
+                raise DatasetError(f"borehole {self.id}: {name} is not finite ({value!r})")
         recs = []
         prev = None
         for k, (facies, z) in enumerate(self.records):
             zq = float(snap_thickness(z))
-            if zq < 1e-9:
+            if not (np.isfinite(zq) and zq >= 1e-9):
                 raise DatasetError(
-                    f"borehole {self.id}: record {k} has non-positive thickness {z!r}"
+                    f"borehole {self.id}: record {k} has non-positive or non-finite "
+                    f"thickness {z!r}"
                 )
             if prev is not None and facies == prev:
                 raise DatasetError(
@@ -290,49 +296,3 @@ def apply_move(
         z[move.j] = u
         z[move.j2] = total - u
     return cfg.with_thicknesses(z)
-
-
-def compatible_supports(
-    obs_facies: Sequence[str], parent: ParentSequence
-) -> set[frozenset[int]]:
-    """Brute-force set of support patterns compatible with an observed sequence.
-
-    A subset S of parent layers is compatible iff merging consecutive
-    same-facies runs of S (in parent order) reproduces the observed facies
-    list.  Intended for small parents (exponential in len(parent)).
-    """
-    M = len(parent)
-    obs = list(obs_facies)
-    out = set()
-    for mask in range(1 << M):
-        sel = [j for j in range(M) if mask >> j & 1]
-        merged = []
-        for j in sel:
-            c = parent.layers[j]
-            if not merged or merged[-1] != c:
-                merged.append(c)
-        if merged == obs:
-            out.add(frozenset(sel))
-    return out
-
-
-def reachable_supports(
-    cfg: AugmentedConfiguration, parent: ParentSequence
-) -> set[frozenset[int]]:
-    """Support patterns reachable from ``cfg`` by chains of moves (BFS).
-
-    Only Split and Merge change the support, so Displace is not explored.
-    """
-    seen = {cfg.support()}
-    frontier = [cfg]
-    while frontier:
-        cur = frontier.pop()
-        for kind in ("split", "merge"):
-            for mv in enumerate_moves(cur, parent, kind):
-                if kind == "split":
-                    mv = mv.with_u(float(snap_thickness(cur.thicknesses[mv.j] / 2.0)))
-                nxt = apply_move(cur, parent, mv)
-                if nxt.support() not in seen:
-                    seen.add(nxt.support())
-                    frontier.append(nxt)
-    return seen

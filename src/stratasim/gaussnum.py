@@ -67,12 +67,6 @@ def cov_matrix(points, spec: MaternSpec) -> np.ndarray:
     return c
 
 
-def cross_cov(points_a, points_b, spec: MaternSpec) -> np.ndarray:
-    pts_a = np.atleast_2d(np.asarray(points_a, dtype=float))
-    pts_b = np.atleast_2d(np.asarray(points_b, dtype=float))
-    return matern(cdist(pts_a, pts_b), spec)
-
-
 def chol_psd(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, escalating diagonal jitter up to 1e-6."""
     a = np.asarray(a, dtype=float)
@@ -113,13 +107,22 @@ def condition(joint: np.ndarray, known_idx, unknown_idx, w_known):
     s_nn = joint[np.ix_(known_idx, known_idx)]
     s_un = joint[np.ix_(unknown_idx, known_idx)]
     s_uu = joint[np.ix_(unknown_idx, unknown_idx)]
-    chol = chol_psd(s_nn)
+    return condition_chol(chol_psd(s_nn), s_un, s_uu, w)
+
+
+def condition_chol(chol_nn: np.ndarray, s_un: np.ndarray, s_uu: np.ndarray, w):
+    """``condition`` given the Cholesky factor of the known block S_nn."""
     # one triangular solve gives both chol^-1 S_nu and chol^-1 w
-    tmp = np.linalg.solve(chol, np.column_stack([s_un.T, w]))
+    tmp = np.linalg.solve(chol_nn, np.column_stack([s_un.T, w]))
     m = tmp[:, :-1].T @ tmp[:, -1]
     v = s_uu - tmp[:, :-1].T @ tmp[:, :-1]
     v = 0.5 * (v + v.T)
     return m, v
+
+
+def chol_logdet(chol: np.ndarray) -> float:
+    """log det(L L') of a lower Cholesky factor L."""
+    return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
 def mvn_logpdf(x, mean, cov) -> float:
@@ -127,14 +130,25 @@ def mvn_logpdf(x, mean, cov) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    d = x.size
     chol = chol_psd(cov)
-    r = np.linalg.solve(chol, x - mean)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(-0.5 * (d * np.log(2.0 * np.pi) + logdet + r @ r))
+    return mvn_logpdf_chol(x - mean, chol, chol_logdet(chol))
+
+
+def mvn_logpdf_chol(resid: np.ndarray, chol: np.ndarray, logdet: float) -> float:
+    """log N(resid; 0, L L') given the factor L and its ``chol_logdet``."""
+    r = np.linalg.solve(chol, resid)
+    return float(-0.5 * (resid.size * np.log(2.0 * np.pi) + logdet + r @ r))
 
 
 _SOBOL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+# Points in the first QMC round of ``mvn_cdf_below``.
+_FIRST_ROUND = 128
+
+# (dim, n_shifts) -> (shifts, first-round point set) of the default rng.  Both
+# are pure functions of the key, so one copy serves every call in the process.
+# Later rounds are not kept: they are rare and much larger.
+_DEFAULT_FIRST_ROUND: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sobol_points(dim: int, n: int) -> np.ndarray:
@@ -143,6 +157,25 @@ def _sobol_points(dim: int, n: int) -> np.ndarray:
         m = int(np.log2(n))
         _SOBOL_CACHE[key] = qmc.Sobol(dim, scramble=False).random_base2(m)
     return _SOBOL_CACHE[key]
+
+
+def _shifted_points(n: int, shifts: np.ndarray) -> np.ndarray:
+    """The first ``n`` Sobol points under each random shift, mod 1, stacked."""
+    n_shifts, dim = shifts.shape
+    base = _sobol_points(dim, n)
+    return ((base[None, :, :] + shifts[:, None, :]) % 1.0).reshape(n_shifts * n, dim)
+
+
+def _default_first_round(dim: int, n_shifts: int):
+    """Shifts drawn by ``default_rng(0x5EED)`` and their first-round points."""
+    key = (dim, n_shifts)
+    if key not in _DEFAULT_FIRST_ROUND:
+        shifts = np.random.default_rng(0x5EED).random((n_shifts, dim))
+        points = _shifted_points(_FIRST_ROUND, shifts)
+        shifts.flags.writeable = False
+        points.flags.writeable = False
+        _DEFAULT_FIRST_ROUND[key] = (shifts, points)
+    return _DEFAULT_FIRST_ROUND[key]
 
 
 def _genz_probs(lower_chol, b, u01) -> np.ndarray:
@@ -179,7 +212,9 @@ def mvn_cdf_below(
     the estimate may exceed tol if the sample cap is hit.
 
     With the default rng the result is a deterministic function of the
-    inputs, which the MCMC cache audit relies on.
+    inputs, which the MCMC cache audit relies on.  The shifts then come from
+    ``default_rng(0x5EED)``, so the first round's point set depends on the
+    dimension only and is built once per dimension.
     """
     b = np.atleast_1d(np.asarray(upper, dtype=float))
     mean = np.broadcast_to(np.asarray(mean, dtype=float), b.shape)
@@ -196,25 +231,26 @@ def mvn_cdf_below(
         sd = np.sqrt(cov[0, 0])
         return float(ndtr(bc[0] / sd)), 0.0
 
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
     order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
     bo = bc[order]
     co = cov[np.ix_(order, order)]
     chol = chol_psd(co)
-    shifts = rng.random((n_shifts, d - 1))
+    if rng is None:
+        shifts, u = _default_first_round(d - 1, n_shifts)
+    else:
+        shifts = rng.random((n_shifts, d - 1))
+        u = _shifted_points(_FIRST_ROUND, shifts)
 
-    n = 128
+    n = _FIRST_ROUND
     while True:
-        base = _sobol_points(d - 1, n)
-        u = (base[None, :, :] + shifts[:, None, :]) % 1.0
-        probs = _genz_probs(chol, bo, u.reshape(n_shifts * n, d - 1))
+        probs = _genz_probs(chol, bo, u)
         ests = probs.reshape(n_shifts, n).mean(axis=1)
         est = float(ests.mean())
         err = float(3.0 * ests.std(ddof=1) / np.sqrt(n_shifts))
         if err <= tol or n >= max_points:
             break
         n *= 2
+        u = _shifted_points(n, shifts)
     return min(max(est, 0.0), 1.0), err
 
 

@@ -7,6 +7,7 @@ file round-trips bit-exactly through its reader.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +46,15 @@ def save_parent(path, parent: ParentSequence):
 
 
 def load_boreholes(path) -> list[BoreholeObservation]:
-    """Borehole CSV: one row per record, ordered top-down per borehole."""
-    rows = []
+    """Borehole CSV: one row per record, ordered top-down per borehole.
+
+    Each borehole's rows are contiguous, its record indices run 0, 1, 2, ...
+    and every row repeats its coordinates and ground level.  Numbers must be
+    finite.  A violation of these rules raises ``DatasetError`` naming
+    ``path:line``.
+    """
+    seen: dict[str, dict] = {}
+    prev = None
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != BOREHOLE_HEADER:
@@ -55,38 +63,39 @@ def load_boreholes(path) -> list[BoreholeObservation]:
             )
         for ln, row in enumerate(reader, start=2):
             try:
-                rows.append(
-                    (
-                        row["borehole_id"],
-                        float(row["x_km"]),
-                        float(row["y_km"]),
-                        float(row["ground_level_m"]),
-                        int(row["record_index"]),
-                        row["facies"],
-                        float(row["thickness_m"]),
-                    )
-                )
+                bid = row["borehole_id"]
+                site = (float(row["x_km"]), float(row["y_km"]),
+                        float(row["ground_level_m"]))
+                ridx = int(row["record_index"])
+                facies = row["facies"]
+                z = float(row["thickness_m"])
             except (TypeError, ValueError, KeyError) as exc:
                 raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
-    if not rows:
+            if not all(math.isfinite(v) for v in (*site, z)):
+                raise DatasetError(f"{path}:{ln}: non-finite number in row")
+            if bid in seen and bid != prev:
+                raise DatasetError(
+                    f"{path}:{ln}: rows of borehole {bid} are not contiguous"
+                )
+            info = seen.setdefault(bid, {"site": site, "line": ln, "records": []})
+            if site != info["site"]:
+                raise DatasetError(
+                    f"{path}:{ln}: borehole {bid} location or ground level differs "
+                    f"from line {info['line']}"
+                )
+            if ridx != len(info["records"]):
+                raise DatasetError(
+                    f"{path}:{ln}: borehole {bid}: record indices are not consecutive "
+                    f"from 0 (got {ridx}, expected {len(info['records'])})"
+                )
+            info["records"].append((facies, z))
+            prev = bid
+    if not seen:
         raise DatasetError(f"{path}: no borehole records")
-    boreholes = []
-    seen = {}
-    for bid, x, y, gl, ridx, facies, z in rows:
-        if bid not in seen:
-            seen[bid] = {"x": x, "y": y, "gl": gl, "records": []}
-        info = seen[bid]
-        if info["records"] and ridx != len(info["records"]):
-            raise DatasetError(
-                f"{path}: borehole {bid}: record indices are not consecutive"
-            )
-        info["records"].append((facies, z))
-    for bid, info in seen.items():
-        boreholes.append(
-            BoreholeObservation(bid, info["x"], info["y"], info["gl"],
-                                tuple(info["records"]))
-        )
-    return boreholes
+    return [
+        BoreholeObservation(bid, *info["site"], tuple(info["records"]))
+        for bid, info in seen.items()
+    ]
 
 
 def save_boreholes(path, boreholes: list[BoreholeObservation]):

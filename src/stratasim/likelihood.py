@@ -6,6 +6,12 @@ The per-layer likelihood combines a Gaussian density over the positive-site
 latents, the transform Jacobian, and the orthant probability that the
 zero-site latents sit below tau given the positive ones.  The complete-data
 log-likelihood is the sum of the layer terms, ``ThicknessModel.all_terms``.
+
+A layer term splits in two.  ``layer_kernel`` builds what depends only on
+the Matern spec and the support (which sites are positive): the covariance
+blocks and the Cholesky factor of the positive block.  ``kernel_loglik``
+evaluates the thicknesses against a kernel.  p, mu and beta leave the kernel
+unchanged, so the sampler keeps kernels (see ``ThicknessModel``).
 """
 
 from __future__ import annotations
@@ -102,6 +108,76 @@ def jacobian_inv(z, mu, beta):
     return (z / mu) ** (1.0 / beta - 1.0) / (mu * beta)
 
 
+@dataclass(frozen=True)
+class LayerKernel:
+    """The part of a layer's likelihood that the thicknesses do not change.
+
+    It depends on the Matern spec and on which sites are positive, over fixed
+    site locations: the covariance blocks of the positive sites (n) and the
+    zero sites (u), and the Cholesky factor and log-determinant of S_nn.  The
+    arrays are read-only, so one kernel can serve many evaluations.
+    """
+
+    chol: np.ndarray    # lower Cholesky factor of S_nn, shape (n, n)
+    logdet: float       # log det S_nn
+    s_un: np.ndarray    # shape (u, n)
+    s_uu: np.ndarray    # shape (u, u)
+
+
+def layer_kernel(pos_locs, zero_locs, spec: MaternSpec) -> LayerKernel:
+    """Build the ``LayerKernel`` of one support; locations are (k, 2) arrays."""
+    n_pos = pos_locs.shape[0]
+    if n_pos + zero_locs.shape[0] == 0:
+        joint = np.zeros((0, 0))
+    else:
+        joint = gaussnum.cov_matrix(np.vstack([pos_locs, zero_locs]), spec)
+    s_nn = joint[:n_pos, :n_pos].copy()
+    chol = gaussnum.chol_psd(s_nn) if n_pos else s_nn
+    kernel = LayerKernel(
+        chol=chol,
+        logdet=gaussnum.chol_logdet(chol),
+        s_un=joint[n_pos:, :n_pos].copy(),
+        s_uu=joint[n_pos:, n_pos:].copy(),
+    )
+    for arr in (kernel.chol, kernel.s_un, kernel.s_uu):
+        arr.flags.writeable = False
+    return kernel
+
+
+def kernel_loglik(
+    kernel: LayerKernel, pos_z, params: LayerParams, cdf_tol: float = 1e-4
+) -> float:
+    """``layer_loglik`` of the positive thicknesses ``pos_z`` under ``kernel``.
+
+    ``pos_z`` lists the positive sites in the kernel's order.
+    """
+    pos_z = np.atleast_1d(np.asarray(pos_z, dtype=float))
+    n_pos = pos_z.size
+    n_zero = kernel.s_uu.shape[0]
+    tau = params.tau
+
+    if n_pos == 0:
+        if n_zero == 0:
+            return 0.0
+        prob, _ = gaussnum.mvn_cdf_below(
+            np.full(n_zero, tau), np.zeros(n_zero), kernel.s_uu, tol=cdf_tol
+        )
+        return float(np.log(max(prob, _LOG_FLOOR)))
+
+    w = phi_inverse(pos_z, params.mu, params.beta) + tau
+    total = gaussnum.mvn_logpdf_chol(w, kernel.chol, kernel.logdet)
+    total += float(np.sum(np.log(jacobian_inv(pos_z, params.mu, params.beta))))
+
+    if n_zero > 0:
+        m, v = gaussnum.condition_chol(kernel.chol, kernel.s_un, kernel.s_uu, w)
+        try:
+            prob, _ = gaussnum.mvn_cdf_below(np.full(n_zero, tau), m, v, tol=cdf_tol)
+        except NumericError as exc:
+            raise NumericError(f"orthant probability failed: {exc}") from exc
+        total += float(np.log(max(prob, _LOG_FLOOR)))
+    return float(total)
+
+
 def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) -> float:
     """Complete-data log-likelihood of a single layer.
 
@@ -109,38 +185,11 @@ def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) ->
     w = phi_inverse(z) + tau plus log-Jacobian terms; zero sites contribute
     the log orthant probability below tau of their conditional (kriged)
     Gaussian law.  Orthant probabilities are floored at 1e-300 before log.
+    This builds the layer's ``LayerKernel`` and evaluates it once; callers
+    that evaluate one support many times keep the kernel instead.
     """
-    n_pos = data.pos_z.size
-    n_zero = data.zero_locs.shape[0]
-    tau = params.tau
-    spec = params.matern_spec
-
-    if n_pos == 0:
-        if n_zero == 0:
-            return 0.0
-        cov = gaussnum.cov_matrix(data.zero_locs, spec)
-        prob, _ = gaussnum.mvn_cdf_below(
-            np.full(n_zero, tau), np.zeros(n_zero), cov, tol=cdf_tol
-        )
-        return float(np.log(max(prob, _LOG_FLOOR)))
-
-    w = phi_inverse(data.pos_z, params.mu, params.beta) + tau
-    cov_pos = gaussnum.cov_matrix(data.pos_locs, spec)
-    total = gaussnum.mvn_logpdf(w, np.zeros(n_pos), cov_pos)
-    total += float(np.sum(np.log(jacobian_inv(data.pos_z, params.mu, params.beta))))
-
-    if n_zero > 0:
-        pts = np.vstack([data.pos_locs, data.zero_locs])
-        joint = gaussnum.cov_matrix(pts, spec)
-        m, v = gaussnum.condition(
-            joint, np.arange(n_pos), np.arange(n_pos, n_pos + n_zero), w
-        )
-        try:
-            prob, _ = gaussnum.mvn_cdf_below(np.full(n_zero, tau), m, v, tol=cdf_tol)
-        except NumericError as exc:
-            raise NumericError(f"orthant probability failed: {exc}") from exc
-        total += float(np.log(max(prob, _LOG_FLOOR)))
-    return float(total)
+    kernel = layer_kernel(data.pos_locs, data.zero_locs, params.matern_spec)
+    return kernel_loglik(kernel, data.pos_z, params, cdf_tol)
 
 
 def layer_data_from_columns(z_col, locations) -> LayerData:

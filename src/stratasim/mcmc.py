@@ -5,14 +5,23 @@ proposes one Split/Merge/Displace move per borehole.  Parameter proposals are
 symmetric uniform random walks accepted on the likelihood-times-prior ratio;
 configuration moves are accepted on the bare likelihood ratio.  Both updates
 rescore the affected layers and then accept and commit through one path,
-whose rule is ``metropolis_accept``.  Per-layer log-likelihood terms are
-cached and audited against full recomputation.
+whose rule is ``metropolis_accept``.
+
+Two things are cached.  The chain state keeps one log-likelihood term per
+layer, so a proposal rescores only the layers it touches.  The model keeps a
+bounded memo of likelihood kernels keyed by (Matern spec, support mask):
+borehole locations never move, and p, mu and beta proposals leave both keys
+unchanged, so they reuse the kernel and skip the covariance and its
+Cholesky factor.  Every ``audit_every`` iterations ``_audit`` recomputes
+every term through an empty memo and compares it with the cached terms.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,7 +45,8 @@ from .errors import (
     ParameterError,
     StrataError,
 )
-from .likelihood import LayerParams, init_from_empirical, layer_data_from_columns
+from .gaussnum import MaternSpec
+from .likelihood import LayerParams, init_from_empirical
 
 log = logging.getLogger(__name__)
 
@@ -127,6 +137,13 @@ class ThicknessModel:
     When ``tie_by_facies`` is set, all layers of one facies share a single
     parameter group (the synthetic-experiment convention); otherwise each
     layer is its own group.
+
+    ``layer_term`` looks its ``likelihood.LayerKernel`` up in a memo keyed by
+    the layer's Matern spec (alpha, nu) and support mask over the fixed
+    borehole locations.  The memo belongs to this model and drops its least
+    recently used kernel beyond ``kernel_capacity`` entries: twice the layers
+    plus boreholes, enough that the kernels of the current state survive one
+    sweep of alpha candidates and one move candidate pair per borehole.
     """
 
     def __init__(
@@ -163,6 +180,8 @@ class ThicknessModel:
             g: [j for j in range(len(parent)) if self.group_of[j] == g]
             for g in self.groups
         }
+        self.kernel_capacity = 2 * (len(parent) + len(self.boreholes))
+        self._kernels: OrderedDict = OrderedDict()
 
     @property
     def n(self) -> int:
@@ -175,9 +194,33 @@ class ThicknessModel:
     def layer_column(self, configs, j) -> np.ndarray:
         return np.array([cfg.thicknesses[j] for cfg in configs])
 
+    def without_memo(self) -> "ThicknessModel":
+        """A copy of this model whose kernel memo starts empty."""
+        twin = copy.copy(self)
+        twin._kernels = OrderedDict()
+        return twin
+
+    def kernel(self, spec: MaternSpec, mask: np.ndarray) -> likelihood.LayerKernel:
+        """The memoised kernel of one (Matern spec, positive-site mask)."""
+        key = (spec, mask.tobytes())
+        kernel = self._kernels.get(key)
+        if kernel is not None:
+            self._kernels.move_to_end(key)
+            return kernel
+        kernel = likelihood.layer_kernel(
+            self.locations[mask], self.locations[~mask], spec
+        )
+        self._kernels[key] = kernel
+        if len(self._kernels) > self.kernel_capacity:
+            self._kernels.popitem(last=False)
+        return kernel
+
     def layer_term(self, z_col, params: LayerParams) -> float:
-        data = layer_data_from_columns(z_col, self.locations)
-        return likelihood.layer_loglik(data, params, cdf_tol=self.cdf_tol)
+        z = np.asarray(z_col, dtype=float)
+        mask = z > 0
+        return likelihood.kernel_loglik(
+            self.kernel(params.matern_spec, mask), z[mask], params, self.cdf_tol
+        )
 
     def all_terms(self, configs, params_by_group) -> np.ndarray:
         terms = np.empty(self.n_layers)
@@ -337,8 +380,12 @@ def _accept_and_commit(
 
 
 def _audit(model: ThicknessModel, state: ChainState, tol: float = 1e-6):
-    """Verify cached terms and observed-image invariance; raise on failure."""
-    fresh = model.all_terms(state.configs, state.params)
+    """Verify cached terms and observed-image invariance; raise on failure.
+
+    The fresh terms are computed through an empty kernel memo, so the check
+    covers the memo as well as the chain's cached terms.
+    """
+    fresh = model.without_memo().all_terms(state.configs, state.params)
     drift = float(np.max(np.abs(fresh - state.layer_terms))) if fresh.size else 0.0
     if drift > tol:
         raise NumericError(f"cached log-likelihood drifted by {drift:.3e} at audit")
@@ -442,11 +489,3 @@ def select_most_likely(samples, predicate=None) -> PosteriorSample:
         if s.loglik > best.loglik:
             best = s
     return best
-
-
-def facies_shared(sample: PosteriorSample, parent: ParentSequence, facies: str) -> bool:
-    """True if some borehole splits this facies across several layers."""
-    idx = parent.layers_of(facies)
-    return any(
-        int(np.sum(cfg.thicknesses[idx] > 0)) >= 2 for cfg in sample.configs
-    )

@@ -15,9 +15,7 @@ from stratasim.core import (
     AugmentedConfiguration,
     BoreholeObservation,
     ParentSequence,
-    compatible_supports,
     initial_augmentation,
-    reachable_supports,
 )
 from stratasim.fieldsim import SimGrid, simulate_conditional
 from stratasim.gaussnum import MaternSpec, condition, cov_matrix, mvn_cdf_below
@@ -32,6 +30,8 @@ from stratasim.likelihood import (
 )
 from stratasim.mcmc import PriorSpec, ProposalSpec, metropolis_accept, run_chain
 from stratasim.synthgen import SyntheticScenario, generate
+
+from oracles import compatible_supports, reachable_supports
 
 
 def _report(num, description, ok):

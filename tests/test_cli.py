@@ -1,12 +1,14 @@
 """Run configuration parsing and the command-line workflows end to end."""
 
+import functools
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stratasim import io
+from stratasim import io, mcmc
 from stratasim.cli import main
 from stratasim.config import RunConfig
 from stratasim.errors import DatasetError
@@ -154,6 +156,30 @@ class TestFit:
             == (root / "out" / "samples.csv").read_text()
         )
 
+    def test_corrupted_kernel_memo_exits_4(self, workspace, tmp_path, monkeypatch):
+        # Corrupt each memo entry once it is stored: the chain then reads bad
+        # kernels on hits, while the audit's own empty memo builds clean ones.
+        root, cfg = workspace
+        real_kernel = mcmc.ThicknessModel.kernel
+        corrupted = []
+
+        def kernel(self, spec, mask):
+            out = real_kernel(self, spec, mask)
+            key = next(reversed(self._kernels))  # the entry just used
+            if not any(self._kernels[key] is bad for bad in corrupted):
+                corrupted.append(replace(out, logdet=out.logdet + 1.0))
+                self._kernels[key] = corrupted[-1]
+            return out
+
+        monkeypatch.setattr(mcmc.ThicknessModel, "kernel", kernel)
+        monkeypatch.setattr(mcmc, "run_chain",
+                            functools.partial(mcmc.run_chain, audit_every=2))
+        cfg2 = tmp_path / "run2.cfg"
+        cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
+                                                f"output_dir = {tmp_path}/out2"))
+        assert main(["fit", "--config", str(cfg2), "--seed", "1"]) == 4
+        assert not (tmp_path / "out2").exists()
+
     def test_empty_borehole_file_exit_2(self, tmp_path):
         bh = tmp_path / "bh.csv"
         bh.write_text(",".join(io.BOREHOLE_HEADER) + "\n")
@@ -208,6 +234,40 @@ class TestSimulate:
         _, cfg = workspace
         assert main(["simulate", "--config", str(cfg), "--seed", "2",
                      "--mode", "conditional", "--selector", "99"]) == 3
+
+    def test_conditional_selector_not_an_index_exit_2(self, workspace):
+        _, cfg = workspace
+        assert main(["simulate", "--config", str(cfg), "--seed", "2",
+                     "--mode", "conditional", "--selector", "best"]) == 2
+
+    def test_conditional_borehole_absent_from_chain_exit_3(self, workspace, tmp_path):
+        root, cfg = workspace
+        text = (root / "synth" / "boreholes.csv").read_text()
+        bh = tmp_path / "bh.csv"
+        bh.write_text(text.replace("\nbh1,", "\nghost,"))
+        cfg2 = tmp_path / "ghost.cfg"
+        cfg2.write_text(cfg.read_text().replace(
+            f"boreholes = {root}/synth/boreholes.csv", f"boreholes = {bh}"
+        ))
+        assert main(["simulate", "--config", str(cfg2), "--seed", "2",
+                     "--mode", "conditional"]) == 3
+
+    def test_sample_without_configurations_exit_3(self, workspace, tmp_path):
+        root, cfg = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "samples.csv").write_text((root / "out" / "samples.csv").read_text())
+        lines = (root / "out" / "configurations.csv").read_text().splitlines()
+        (out / "configurations.csv").write_text(
+            "\n".join(ln for ln in lines if not ln.startswith("60,")) + "\n"
+        )
+        cfg2 = tmp_path / "partial.cfg"
+        cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
+                                                f"output_dir = {out}"))
+        for selector in ("most-likely", "0"):
+            assert main(["simulate", "--config", str(cfg2), "--seed", "2",
+                         "--mode", "conditional", "--selector", selector]) == 3
+        assert main(["tcd", "--config", str(cfg2), "--facies", "Blue"]) == 3
 
     def test_conditional_incompatible_borehole_exit_3(self, workspace, tmp_path):
         root, cfg = workspace

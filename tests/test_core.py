@@ -12,12 +12,10 @@ from stratasim.core import (
     Move,
     ParentSequence,
     apply_move,
-    compatible_supports,
     enumerate_moves,
     initial_augmentation,
     is_compatible,
     observe,
-    reachable_supports,
     snap_thickness,
 )
 from stratasim.errors import (
@@ -27,6 +25,8 @@ from stratasim.errors import (
     InvalidConfigurationError,
 )
 from stratasim.synthgen import DEFAULT_PARENT
+
+from oracles import compatible_supports, reachable_supports
 
 TABLE_PARENT = ParentSequence(("Blue", "Red", "Blue", "Green", "Blue"))
 
@@ -93,6 +93,17 @@ class TestIngestion:
     def test_zero_thickness_record_rejected(self):
         with pytest.raises(DatasetError):
             BoreholeObservation("b", 0, 0, 0, (("Blue", 0.0),))
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    def test_non_finite_thickness_rejected(self, z):
+        with pytest.raises(DatasetError, match="non-finite"):
+            BoreholeObservation("b", 0, 0, 0, (("A", z),))
+
+    @pytest.mark.parametrize("site", [(float("nan"), 0.0, 0.0), (0.0, float("inf"), 0.0),
+                                      (0.0, 0.0, float("nan"))])
+    def test_non_finite_site_rejected(self, site):
+        with pytest.raises(DatasetError, match="not finite"):
+            BoreholeObservation("b", *site, (("A", 1.0),))
 
     def test_adjacent_same_facies_rejected(self):
         with pytest.raises(DatasetError):

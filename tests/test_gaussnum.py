@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from stratasim.errors import CapacityError, NumericError, ParameterError
 from stratasim.gaussnum import (
+    _genz_probs,
+    _sobol_points,
     MaternSpec,
     chol_psd,
     condition,
@@ -177,6 +180,59 @@ class TestMvnCdfBelow:
     def test_mean_shift(self):
         prob, _ = mvn_cdf_below([1.0], [1.0], [[4.0]])
         assert prob == 0.5
+
+
+def _per_call_mvn_cdf_below(upper, mean, cov, tol, rng=None, max_points=50_000):
+    """Reference ``mvn_cdf_below`` that draws its shifts and builds every
+    point set on each call (10 shifts, first round of 128 points)."""
+    b = np.asarray(upper, dtype=float)
+    bc = b - np.asarray(mean, dtype=float)
+    d = b.size
+    if rng is None:
+        rng = np.random.default_rng(0x5EED)
+    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
+    chol = chol_psd(cov[np.ix_(order, order)])
+    shifts = rng.random((10, d - 1))
+    n = 128
+    while True:
+        u = (_sobol_points(d - 1, n)[None, :, :] + shifts[:, None, :]) % 1.0
+        probs = _genz_probs(chol, bc[order], u.reshape(10 * n, d - 1))
+        ests = probs.reshape(10, n).mean(axis=1)
+        est = float(ests.mean())
+        err = float(3.0 * ests.std(ddof=1) / np.sqrt(10))
+        if err <= tol or n >= max_points:
+            break
+        n *= 2
+    return min(max(est, 0.0), 1.0), err
+
+
+class TestMvnCdfBelowPointSets:
+    """The kept first-round point set gives the per-call construction's bits."""
+
+    def _case(self, d, seed):
+        rng = np.random.default_rng(seed)
+        cov = cov_matrix(rng.uniform(0, 4, (d, 2)), MaternSpec(1.5, 2.0))
+        return rng.normal(0.0, 1.0, d), rng.normal(0.0, 0.5, d), cov
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_default_rng_first_round(self, d):
+        upper, mean, cov = self._case(d, d)
+        for _ in range(2):  # the second call reads the kept point set
+            got = mvn_cdf_below(upper, mean, cov, tol=1e-2)
+            assert got == _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-2)
+
+    def test_later_rounds(self):
+        upper, mean, cov = self._case(6, 40)
+        got = mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
+        want = _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
+        assert got == want and got[1] > 1e-12  # ran to the 512-point round
+
+    def test_explicit_rng(self):
+        upper, mean, cov = self._case(5, 41)
+        got = mvn_cdf_below(upper, mean, cov, tol=1e-2, rng=np.random.default_rng(7))
+        want = _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-2,
+                                       rng=np.random.default_rng(7))
+        assert got == want
 
 
 class TestSampleTruncatedMvn:

@@ -75,6 +75,34 @@ class TestBoreholeFile:
         with pytest.raises(DatasetError, match="consecutive"):
             io.load_boreholes(path)
 
+    def _rejected_at(self, tmp_path, rows, line):
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=f"bh.csv:{line}:"):
+            io.load_boreholes(path)
+
+    @pytest.mark.parametrize("row", [
+        "a,1.0,2.0,0.5,1,Blue,nan",
+        "a,1.0,2.0,0.5,1,Blue,inf",
+        "a,nan,2.0,0.5,1,Blue,1.0",
+        "a,1.0,-inf,0.5,1,Blue,1.0",
+        "a,1.0,2.0,NaN,1,Blue,1.0",
+    ])
+    def test_non_finite_number_reports_line(self, tmp_path, row):
+        self._rejected_at(tmp_path, ["a,1.0,2.0,0.5,0,Green,1.0", row], 3)
+
+    def test_first_record_index_must_be_zero(self, tmp_path):
+        self._rejected_at(tmp_path, ["a,1.0,2.0,0.5,1,Green,1.0"], 2)
+
+    def test_non_contiguous_rows_rejected(self, tmp_path):
+        rows = ["a,1.0,2.0,0.5,0,Green,1.0", "b,5.0,5.0,0.0,0,Red,1.0",
+                "a,1.0,2.0,0.5,1,Blue,1.0"]
+        self._rejected_at(tmp_path, rows, 4)
+
+    def test_conflicting_location_rejected(self, tmp_path):
+        rows = ["a,1.0,2.0,0.5,0,Green,1.0", "a,1.5,2.0,0.5,1,Blue,1.0"]
+        self._rejected_at(tmp_path, rows, 3)
+
 
 def _samples():
     params = {

@@ -1,5 +1,7 @@
 """Thickness transform, layer likelihood, moments, TCD, empirical init."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +174,83 @@ class TestCompleteLoglik:
             model.all_terms(configs_swapped, {"Blue.1": p2, "Blue.2": PARAMS})
         )
         assert total == pytest.approx(swapped, abs=1e-12)
+
+
+def _layer_steps(n_sites, draw):
+    """Columns and parameters that walk p, mu, beta, alpha and the support.
+
+    Masks and alphas come from small pools, so kernel keys repeat.
+    """
+    thick = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n_sites,
+                                   max_size=n_sites)))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n_sites, max_size=n_sites),
+                          min_size=1, max_size=3))
+    alphas = draw(st.lists(st.floats(0.3, 30.0), min_size=1, max_size=2))
+    values = {"p": st.floats(0.02, 0.98), "mu": st.floats(0.1, 10.0),
+              "beta": st.floats(0.3, 3.9), "alpha": st.sampled_from(alphas)}
+    params = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=alphas[0])
+    mask = np.array(masks[0])
+    steps = []
+    for which in draw(st.lists(st.sampled_from(["p", "mu", "beta", "alpha", "mask"]),
+                               min_size=1, max_size=12)):
+        if which == "mask":
+            mask = np.array(draw(st.sampled_from(masks)))
+        else:
+            params = replace(params, **{which: draw(values[which])})
+        steps.append((np.where(mask, thick, 0.0), params))
+    return steps
+
+
+def _assert_memo_matches_fresh(locs, steps):
+    """layer_term through one model's memo equals a fresh layer_loglik, bit for bit."""
+    model = _untied_model(locs, 1)
+    for z, params in steps:
+        fresh = layer_loglik(layer_data_from_columns(z, locs), params,
+                             cdf_tol=model.cdf_tol)
+        assert model.layer_term(z, params) == fresh  # may build the kernel
+        assert model.layer_term(z, params) == fresh  # a memo hit
+
+
+class TestKernelMemo:
+    """``ThicknessModel`` evaluates layers through memoised kernels."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_warm_memo_is_bit_identical(self, data):
+        n_sites = data.draw(st.integers(1, 6), label="sites")
+        cells = data.draw(st.sets(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                                  min_size=n_sites, max_size=n_sites), label="cells")
+        locs = 0.7 * np.array(sorted(cells), dtype=float)
+        _assert_memo_matches_fresh(locs, _layer_steps(n_sites, data.draw))
+
+    @pytest.mark.parametrize("mask", [
+        [False, False, False, False],  # n_pos == 0
+        [True, True, True, True],      # n_zero == 0
+        [True, False, True, True],     # one zero site: d = 1
+        [False, False, False, True],   # one positive site
+    ])
+    def test_edge_supports(self, mask):
+        locs = np.array([[0.0, 0.0], [1.0, 0.5], [2.5, 2.0], [0.3, 3.0]])
+        z = np.where(mask, [0.4, 1.1, 2.0, 0.7], 0.0)
+        base = LayerParams(p=0.4, mu=1.5, beta=1.2, alpha=2.0)
+        steps = [(z, base)]
+        for which, value in (("p", 0.7), ("mu", 0.8), ("beta", 2.5), ("alpha", 9.0),
+                             ("alpha", 2.0), ("p", 0.1)):
+            base = replace(base, **{which: value})
+            steps.append((z, base))
+        _assert_memo_matches_fresh(locs, steps)
+
+    def test_p_mu_beta_reuse_the_kernel(self):
+        locs = np.array([[0.0, 0.0], [1.0, 0.5], [2.5, 2.0]])
+        model = _untied_model(locs, 1)
+        z = np.array([0.4, 0.0, 2.0])
+        for params in (PARAMS, replace(PARAMS, p=0.3), replace(PARAMS, mu=2.0),
+                       replace(PARAMS, beta=0.7)):
+            model.layer_term(z, params)
+        assert len(model._kernels) == 1
+        model.layer_term(z, replace(PARAMS, alpha=4.0))
+        model.layer_term(np.array([0.4, 0.3, 0.0]), PARAMS)
+        assert len(model._kernels) == 3
 
 
 class TestMoments:

@@ -1,6 +1,7 @@
 """Priors, Metropolis kernels, configuration sweep, and the full chain."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from scipy.stats import chisquare
 
 from stratasim.core import BoreholeObservation, ParentSequence, observe
 from stratasim.errors import IncompatibleSequenceError, NumericError, ParameterError
+from stratasim import likelihood
 from stratasim.likelihood import LayerParams
 from stratasim.mcmc import (
+    PARAM_KINDS,
     ChainState,
     PosteriorSample,
     PriorSpec,
     ProposalSpec,
     ThicknessModel,
     _audit,
-    facies_shared,
     metropolis_accept,
     pc_log_prior,
     run_chain,
@@ -25,6 +27,8 @@ from stratasim.mcmc import (
     update_configuration,
     update_parameter,
 )
+
+from oracles import facies_shared
 
 
 class TestPriorSpec:
@@ -192,6 +196,15 @@ class TestUpdateParameter:
         with pytest.raises(NumericError, match="drifted"):
             _audit(model, state)
 
+    def test_audit_recomputes_without_the_kernel_memo(self):
+        model = ThicknessModel([BH1, BH2], PARENT1)
+        state = self._state(model)
+        key, kernel = next(iter(model._kernels.items()))
+        model._kernels[key] = replace(kernel, logdet=kernel.logdet + 1e-3)
+        state.layer_terms = model.all_terms(state.configs, state.params)
+        with pytest.raises(NumericError, match="drifted"):
+            _audit(model, state)
+
     def test_cache_updated_on_accept(self):
         model = ThicknessModel([BH1, BH2], PARENT1)
         state = self._state(model)
@@ -335,6 +348,29 @@ class TestRunChain:
             _toy_boreholes(), SYNTH_PARENT, PriorSpec(), ProposalSpec(),
             n_iter=30, burn_in=0, thin=10, seed=9, cdf_tol=1e-2, audit_every=10,
         )
+
+    def test_kernel_memo_stays_bounded(self, monkeypatch):
+        builds = []
+        build = likelihood.layer_kernel
+        monkeypatch.setattr(likelihood, "layer_kernel",
+                            lambda *a: builds.append(1) or build(*a))
+        model = ThicknessModel(_toy_boreholes(), SYNTH_PARENT, cdf_tol=1e-2)
+        params = model.empirical_init()
+        configs = model.initial_configs()
+        state = ChainState(params, configs, model.all_terms(configs, params))
+        rng = np.random.default_rng(11)
+        sizes = []
+        for _ in range(200):
+            for which in PARAM_KINDS:
+                for group in model.groups:
+                    update_parameter(model, state, group, which,
+                                     ProposalSpec(), PriorSpec(), rng)
+            for k in range(model.n):
+                update_configuration(model, state, k, ProposalSpec(), rng)
+            sizes.append(len(model._kernels))
+        assert max(sizes) == model.kernel_capacity == 2 * (5 + 3)
+        assert len(builds) > 10 * model.kernel_capacity  # entries were dropped
+        _audit(model, state)
 
     def test_incompatible_borehole_reported(self):
         bad = BoreholeObservation("z", 0, 0, 0, (("Black", 1.0), ("Green", 1.0)))
