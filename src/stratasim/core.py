@@ -13,6 +13,7 @@ no candidate is checked by re-running ``observe``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -37,6 +38,16 @@ MOVE_KINDS = ("split", "merge", "displace")
 def snap_thickness(z):
     """Round a thickness (scalar or array) to the dyadic grid."""
     return np.round(np.asarray(z, dtype=float) / THICKNESS_QUANTUM) * THICKNESS_QUANTUM
+
+
+def valid_record_thickness(z) -> bool:
+    """True if a record thickness snaps to a finite value of at least 1e-9 m.
+
+    Scalar arithmetic with the same result as ``snap_thickness``: the scaling
+    by the quantum is exact and ``round`` also rounds half to even.
+    """
+    q = float(z) / THICKNESS_QUANTUM
+    return math.isfinite(q) and round(q) * THICKNESS_QUANTUM >= 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,8 +101,7 @@ class BoreholeObservation:
         recs = []
         prev = None
         for k, (facies, z) in enumerate(self.records):
-            zq = float(snap_thickness(z))
-            if not (np.isfinite(zq) and zq >= 1e-9):
+            if not valid_record_thickness(z):
                 raise DatasetError(
                     f"borehole {self.id}: record {k} has non-positive or non-finite "
                     f"thickness {z!r}"
@@ -100,7 +110,7 @@ class BoreholeObservation:
                 raise DatasetError(
                     f"borehole {self.id}: records {k - 1} and {k} share facies {facies!r}"
                 )
-            recs.append((str(facies), zq))
+            recs.append((str(facies), float(snap_thickness(z))))
             prev = facies
         object.__setattr__(self, "records", tuple(recs))
 

@@ -2,6 +2,7 @@
 
 Layers are simulated independently (per-layer seeded streams), transformed
 to thicknesses, and stacked above a ground level to give depth surfaces.
+Layers sharing a Matern spec share one field factor, built once per call.
 Conditional simulation honors every borehole thickness, including the zeros,
 by conditioning the latent field on back-transformed values and truncated
 draws at zero-thickness sites.
@@ -9,6 +10,7 @@ draws at zero-thickness sites.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,6 +141,17 @@ def _layer_rng(seed: int, j: int):
     return np.random.default_rng(np.random.SeedSequence((int(seed), j)))
 
 
+def _layers_by_spec(params: list[LayerParams]):
+    """(spec, layer indices) per distinct Matern spec, in (nu, alpha) order.
+
+    Every layer draws from its own ``_layer_rng`` stream, so the visiting
+    order changes no value; it lets one field factor serve a whole group.
+    """
+    order = sorted(range(len(params)), key=lambda j: (params[j].nu, params[j].alpha))
+    for spec, group in itertools.groupby(order, key=lambda j: params[j].matern_spec):
+        yield spec, list(group)
+
+
 def _transform(w: np.ndarray, params: LayerParams) -> np.ndarray:
     above = w > params.tau
     z = np.zeros_like(w)
@@ -164,11 +177,12 @@ def simulate_unconditional(
             f"{len(pts)} grid nodes exceed the budget {budget}; coarsen the grid"
         )
     thickness = np.empty((len(parent), len(pts)))
-    for j, prm in enumerate(params):
-        w = gaussnum.sample_gaussian_field(
-            pts, prm.matern_spec, _layer_rng(seed, j), budget=budget
-        )
-        thickness[j] = _transform(w, prm)
+    for spec, layers in _layers_by_spec(params):
+        kernel = gaussnum.field_kernel(pts, spec, budget=budget)
+        for j in layers:
+            w = gaussnum.draw_field(kernel, _layer_rng(seed, j))
+            thickness[j] = _transform(w, params[j])
+        del kernel  # free this factor before the next spec's is built
     return LayerStack(grid, parent, pts, thickness)
 
 
@@ -234,30 +248,29 @@ def simulate_conditional(
     z_cond = np.array([cfg.thicknesses for cfg in configs]).T  # (M, n)
 
     thickness = np.empty((len(parent), len(pts)))
-    for j, prm in enumerate(params):
-        rng = _layer_rng(seed, j)
-        z_j = z_cond[j]
-        pos = z_j > 0
-        w_known = np.empty(len(locs))
-        w_known[pos] = (
-            likelihood.phi_inverse(z_j[pos], prm.mu, prm.beta) + prm.tau
-        )
-        if np.any(~pos):
-            joint = gaussnum.cov_matrix(bh_pts, prm.matern_spec)
-            m, v = gaussnum.condition(
-                joint, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+    for spec, layers in _layers_by_spec(params):
+        kernel = gaussnum.field_kernel(pts, spec, bh_pts, budget)
+        bh_cov = None  # built on the first layer of this spec with a zero
+        for j in layers:
+            prm = params[j]
+            rng = _layer_rng(seed, j)
+            z_j = z_cond[j]
+            pos = z_j > 0
+            w_known = np.empty(len(locs))
+            w_known[pos] = (
+                likelihood.phi_inverse(z_j[pos], prm.mu, prm.beta) + prm.tau
             )
-            w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
-        w = gaussnum.sample_gaussian_field(
-            pts,
-            prm.matern_spec,
-            rng,
-            cond_points=bh_pts,
-            cond_values=w_known,
-            budget=budget,
-        )
-        thickness[j] = _transform(w, prm)
-        thickness[j, bh_idx] = z_j
+            if np.any(~pos):
+                if bh_cov is None:
+                    bh_cov = gaussnum.cov_matrix(bh_pts, spec)
+                m, v = gaussnum.condition(
+                    bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+                )
+                w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
+            w = gaussnum.draw_field(kernel, rng, w_known)
+            thickness[j] = _transform(w, prm)
+            thickness[j, bh_idx] = z_j
+        del kernel  # free this factor before the next spec's is built
     return LayerStack(grid, parent, pts, thickness)
 
 

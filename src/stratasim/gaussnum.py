@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc, truncnorm
+from scipy.stats import qmc
 
 from .errors import CapacityError, DegenerateRegionError, NumericError, ParameterError
 
@@ -254,6 +254,19 @@ def mvn_cdf_below(
     return min(max(est, 0.0), 1.0), err
 
 
+def _ppf_below(u, b):
+    """``scipy.stats.truncnorm.ppf(u, -inf, b)`` in closed form, bit for bit.
+
+    The draw x solves Phi(x) = u Phi(b) in log space:
+    x = ndtri_exp(log u + log Phi(b)), with log Phi(b) taken as ``log_ndtr(b)``
+    for b <= 0 and as ``log1p(-ndtr(-b))`` for b > 0, the two branches scipy
+    uses.  ``scipy.special.log1p`` is the one scipy calls; numpy's differs in
+    the last bit.  Deep lower tails stay finite.
+    """
+    log_mass = log_ndtr(b) if b <= 0 else log1p(-ndtr(-b))
+    return ndtri_exp(np.log(u) + log_mass)
+
+
 def sample_truncated_mvn(
     mean,
     cov,
@@ -262,10 +275,15 @@ def sample_truncated_mvn(
     sweeps: int = 50,
     burn_in: int = 20,
 ) -> np.ndarray:
-    """One draw of X ~ N(mean, cov) conditioned on every coordinate < upper.
+    """Approximate draw of X ~ N(mean, cov) conditioned on every coordinate < upper.
 
-    Gibbs sampler over the univariate truncated-normal full conditionals with
-    a fixed sweep count; deterministic given the rng state.
+    Dimension 1 is an exact inverse-CDF draw.  Otherwise this is the state of
+    a Gibbs sampler over the univariate truncated-normal full conditionals
+    after a fixed ``burn_in + sweeps`` sweeps from a deterministic start, not
+    an independent draw: no distance to the truncated law is stated, and an
+    exact sampler (minimax tilting) is still to come.  Deterministic given the
+    rng state; one uniform per coordinate per sweep, drawn up front.  Raises
+    ``DegenerateRegionError`` when the region has vanishing probability.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.size
@@ -281,22 +299,107 @@ def sample_truncated_mvn(
     if d == 1:
         beta = (upper - mean[0]) / sd[0]
         u = rng.random()
-        return mean + sd * truncnorm.ppf(u, -np.inf, beta)
+        return mean + sd * _ppf_below(u, beta)
 
     chol = chol_psd(cov)
     prec = np.linalg.inv(chol.T) @ np.linalg.inv(chol)
-    cond_var = 1.0 / np.diag(prec)
+    prec_diag = np.diag(prec)
+    cond_var = 1.0 / prec_diag
     cond_sd = np.sqrt(cond_var)
 
     x = np.minimum(mean, upper - 0.5 * sd)
-    for _ in range(burn_in + sweeps):
+    for u in rng.random((burn_in + sweeps, d)):
         for i in range(d):
-            r = prec[i] @ (x - mean) - prec[i, i] * (x[i] - mean[i])
+            r = prec[i] @ (x - mean) - prec_diag[i] * (x[i] - mean[i])
             m_i = mean[i] - cond_var[i] * r
             beta = (upper - m_i) / cond_sd[i]
-            u = rng.random()
-            x[i] = m_i + cond_sd[i] * truncnorm.ppf(u, -np.inf, beta)
+            x[i] = m_i + cond_sd[i] * _ppf_below(u[i], beta)
     return x
+
+
+@dataclass(frozen=True)
+class FieldKernel:
+    """What a Gaussian field draw needs from the points and the Matern spec.
+
+    Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
+    Unconditional kernels hold only ``chol``, the factor of the points'
+    covariance.  Conditional kernels hold the factor of the joint covariance
+    over the conditioning points then the free points (None when every point
+    coincides with a conditioning point), its cross block ``s_gc``, the factor
+    ``chol_cc`` of the conditioning block, and for each point that coincides
+    with a conditioning point (``hit``) the index of that point (``source``).
+    """
+
+    n_points: int
+    chol: np.ndarray | None
+    n_cond: int = 0
+    hit: np.ndarray | None = None
+    source: np.ndarray | None = None
+    s_gc: np.ndarray | None = None
+    chol_cc: np.ndarray | None = None
+
+
+def field_kernel(points, spec: MaternSpec, cond_points=None,
+                 budget: int = 20_000) -> FieldKernel:
+    """The spec-only part of ``sample_gaussian_field``: covariance and factors.
+
+    Raises ``CapacityError`` when the points and the conditioning points
+    together exceed ``budget``.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    conditioned = cond_points is not None and len(cond_points) > 0
+    cpts = np.atleast_2d(np.asarray(cond_points, dtype=float)) if conditioned else None
+    total = n + (cpts.shape[0] if conditioned else 0)
+    if total > budget:
+        raise CapacityError(
+            f"{total} simulation points exceed the Cholesky budget {budget}; coarsen the grid"
+        )
+    if not conditioned:
+        return FieldKernel(n, chol_psd(cov_matrix(pts, spec)))
+
+    # Points coinciding with a conditioning point take its value directly;
+    # keeping them in the joint covariance would make it singular and the
+    # kriging residual would sit at jitter level instead of being exact.
+    d = cdist(pts, cpts)
+    hit = d.min(axis=1) < 1e-12
+    source = np.argmin(d[hit], axis=1)
+    nc = cpts.shape[0]
+    if np.all(hit):
+        return FieldKernel(n, None, nc, hit, source)
+    joint_cov = cov_matrix(np.vstack([cpts, pts[~hit]]), spec)
+    return FieldKernel(
+        n, chol_psd(joint_cov), nc, hit, source,
+        s_gc=joint_cov[nc:, :nc].copy(),
+        chol_cc=chol_psd(joint_cov[:nc, :nc]),
+    )
+
+
+def draw_field(kernel: FieldKernel, rng, cond_values=None) -> np.ndarray:
+    """One standardized field from a ``field_kernel``.
+
+    Unconditional draws are the factor times standard normals.  Conditional
+    draws use conditioning-by-kriging (unconditional draw plus kriging
+    correction) and interpolate ``cond_values`` exactly up to the
+    factorization jitter.
+    """
+    if kernel.n_cond == 0:
+        return kernel.chol @ rng.standard_normal(kernel.n_points)
+    w = np.asarray(cond_values, dtype=float)
+    out = np.empty(kernel.n_points)
+    out[kernel.hit] = w[kernel.source]
+    if kernel.chol is None:
+        return out
+
+    nc = kernel.n_cond
+    f_star = kernel.chol @ rng.standard_normal(kernel.chol.shape[0])
+
+    def krig(vals):
+        t = np.linalg.solve(kernel.chol_cc, vals)
+        return kernel.s_gc @ np.linalg.solve(kernel.chol_cc.T, t)
+
+    out[~kernel.hit] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
+    return out
 
 
 def sample_gaussian_field(
@@ -309,50 +412,8 @@ def sample_gaussian_field(
 ) -> np.ndarray:
     """Standardized Gaussian field values at ``points``.
 
-    Unconditional draws use a dense Cholesky of the point covariance.
-    Conditional draws use conditioning-by-kriging (unconditional draw plus
-    kriging correction) and interpolate the conditioning values exactly up
-    to the factorization jitter.
+    Builds a ``field_kernel`` and draws from it once with ``draw_field``;
+    callers drawing several fields of one spec keep the kernel instead.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    conditioned = cond_points is not None and len(cond_points) > 0
-    cpts = np.atleast_2d(np.asarray(cond_points, dtype=float)) if conditioned else None
-    total = n + (cpts.shape[0] if conditioned else 0)
-    if total > budget:
-        raise CapacityError(
-            f"{total} simulation points exceed the Cholesky budget {budget}; coarsen the grid"
-        )
-    if not conditioned:
-        chol = chol_psd(cov_matrix(pts, spec))
-        return chol @ rng.standard_normal(n)
-
-    w = np.asarray(cond_values, dtype=float)
-    # Points coinciding with a conditioning point take its value directly;
-    # keeping them in the joint covariance would make it singular and the
-    # kriging residual would sit at jitter level instead of being exact.
-    d = cdist(pts, cpts)
-    hit = d.min(axis=1) < 1e-12
-    out = np.empty(n)
-    out[hit] = w[np.argmin(d[hit], axis=1)] if np.any(hit) else 0.0
-    free = ~hit
-    if not np.any(free):
-        return out
-
-    fpts = pts[free]
-    nc = cpts.shape[0]
-    joint_pts = np.vstack([cpts, fpts])
-    joint_cov = cov_matrix(joint_pts, spec)
-    chol = chol_psd(joint_cov)
-    f_star = chol @ rng.standard_normal(nc + fpts.shape[0])
-
-    s_cc = joint_cov[:nc, :nc]
-    s_gc = joint_cov[nc:, :nc]
-    chol_cc = chol_psd(s_cc)
-
-    def krig(vals):
-        t = np.linalg.solve(chol_cc, vals)
-        return s_gc @ np.linalg.solve(chol_cc.T, t)
-
-    out[free] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
-    return out
+    kernel = field_kernel(points, spec, cond_points, budget)
+    return draw_field(kernel, rng, cond_values)

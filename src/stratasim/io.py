@@ -12,7 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AugmentedConfiguration, BoreholeObservation, ParentSequence
+from .core import (
+    AugmentedConfiguration,
+    BoreholeObservation,
+    ParentSequence,
+    valid_record_thickness,
+)
 from .errors import DatasetError
 from .fieldsim import LayerStack
 from .likelihood import LayerParams
@@ -50,8 +55,9 @@ def load_boreholes(path) -> list[BoreholeObservation]:
 
     Each borehole's rows are contiguous, its record indices run 0, 1, 2, ...
     and every row repeats its coordinates and ground level.  Numbers must be
-    finite.  A violation of these rules raises ``DatasetError`` naming
-    ``path:line``.
+    finite, thicknesses positive once snapped to the thickness grid, and
+    adjacent records of one borehole of different facies.  A violation of
+    these rules raises ``DatasetError`` naming ``path:line``.
     """
     seen: dict[str, dict] = {}
     prev = None
@@ -87,6 +93,16 @@ def load_boreholes(path) -> list[BoreholeObservation]:
                 raise DatasetError(
                     f"{path}:{ln}: borehole {bid}: record indices are not consecutive "
                     f"from 0 (got {ridx}, expected {len(info['records'])})"
+                )
+            if not valid_record_thickness(z):
+                raise DatasetError(
+                    f"{path}:{ln}: borehole {bid}: thickness {z!r} is not positive "
+                    f"after snapping to the thickness grid"
+                )
+            if info["records"] and info["records"][-1][0] == facies:
+                raise DatasetError(
+                    f"{path}:{ln}: borehole {bid}: records {ridx - 1} and {ridx} "
+                    f"share facies {facies!r}"
                 )
             info["records"].append((facies, z))
             prev = bid

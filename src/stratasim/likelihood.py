@@ -192,14 +192,6 @@ def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) ->
     return kernel_loglik(kernel, data.pos_z, params, cdf_tol)
 
 
-def layer_data_from_columns(z_col, locations) -> LayerData:
-    """Partition one layer's thickness column by positivity."""
-    z = np.asarray(z_col, dtype=float)
-    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
-    pos = z > 0
-    return LayerData(z[pos], locs[pos], locs[~pos])
-
-
 def thickness_moments(mu: float, p: float, beta: float = 1.0):
     """Mean and variance of the positive part of the thickness (beta = 1 only).
 

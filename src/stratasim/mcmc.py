@@ -479,11 +479,11 @@ def run_chain(
     return samples, diagnostics
 
 
-def select_most_likely(samples, predicate=None) -> PosteriorSample:
+def select_most_likely(samples) -> PosteriorSample:
     """Sample with the highest stored log-likelihood (ties: earliest)."""
-    pool = [s for s in samples if predicate is None or predicate(s)]
+    pool = list(samples)
     if not pool:
-        raise ParameterError("no posterior samples match the selection")
+        raise ParameterError("no posterior samples to select from")
     best = pool[0]
     for s in pool[1:]:
         if s.loglik > best.loglik:

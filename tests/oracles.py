@@ -5,7 +5,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
+from scipy.stats import truncnorm
 
+from stratasim import fieldsim, gaussnum, likelihood
 from stratasim.core import (
     AugmentedConfiguration,
     ParentSequence,
@@ -13,6 +16,7 @@ from stratasim.core import (
     enumerate_moves,
     snap_thickness,
 )
+from stratasim.errors import DegenerateRegionError
 from stratasim.mcmc import PosteriorSample
 
 
@@ -68,3 +72,113 @@ def facies_shared(sample: PosteriorSample, parent: ParentSequence, facies: str) 
     return any(
         int(np.sum(cfg.thicknesses[idx] > 0)) >= 2 for cfg in sample.configs
     )
+
+
+def sample_truncated_mvn(mean, cov, upper, rng, sweeps=50, burn_in=20):
+    """Gibbs draw of N(mean, cov) below ``upper`` through ``truncnorm.ppf``.
+
+    One uniform per coordinate update, drawn as it is used, and the
+    precision diagonal read inside the sweep.
+    """
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    d = mean.size
+    if d == 0:
+        return np.zeros(0)
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    sd = np.sqrt(np.diag(cov))
+    prob, _ = gaussnum.mvn_cdf_below(np.full(d, upper), mean, cov, tol=1e-2)
+    if prob < 1e-300:
+        raise DegenerateRegionError("vanishing truncation region")
+    if d == 1:
+        beta = (upper - mean[0]) / sd[0]
+        u = rng.random()
+        return mean + sd * truncnorm.ppf(u, -np.inf, beta)
+
+    chol = gaussnum.chol_psd(cov)
+    prec = np.linalg.inv(chol.T) @ np.linalg.inv(chol)
+    cond_var = 1.0 / np.diag(prec)
+    cond_sd = np.sqrt(cond_var)
+
+    x = np.minimum(mean, upper - 0.5 * sd)
+    for _ in range(burn_in + sweeps):
+        for i in range(d):
+            r = prec[i] @ (x - mean) - prec[i, i] * (x[i] - mean[i])
+            m_i = mean[i] - cond_var[i] * r
+            beta = (upper - m_i) / cond_sd[i]
+            u = rng.random()
+            x[i] = m_i + cond_sd[i] * truncnorm.ppf(u, -np.inf, beta)
+    return x
+
+
+def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None):
+    """One field draw that builds its covariance and factors on every call."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    if cond_points is None or len(cond_points) == 0:
+        chol = gaussnum.chol_psd(gaussnum.cov_matrix(pts, spec))
+        return chol @ rng.standard_normal(n)
+
+    cpts = np.atleast_2d(np.asarray(cond_points, dtype=float))
+    w = np.asarray(cond_values, dtype=float)
+    d = cdist(pts, cpts)
+    hit = d.min(axis=1) < 1e-12
+    out = np.empty(n)
+    out[hit] = w[np.argmin(d[hit], axis=1)] if np.any(hit) else 0.0
+    free = ~hit
+    if not np.any(free):
+        return out
+
+    fpts = pts[free]
+    nc = cpts.shape[0]
+    joint_cov = gaussnum.cov_matrix(np.vstack([cpts, fpts]), spec)
+    chol = gaussnum.chol_psd(joint_cov)
+    f_star = chol @ rng.standard_normal(nc + fpts.shape[0])
+
+    s_cc = joint_cov[:nc, :nc]
+    s_gc = joint_cov[nc:, :nc]
+    chol_cc = gaussnum.chol_psd(s_cc)
+
+    def krig(vals):
+        t = np.linalg.solve(chol_cc, vals)
+        return s_gc @ np.linalg.solve(chol_cc.T, t)
+
+    out[free] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
+    return out
+
+
+def simulate_unconditional(grid, params_by_layer, parent, seed):
+    """Thickness fields layer by layer in parent order, one factor per layer."""
+    params = fieldsim._params_list(params_by_layer, parent)
+    pts = grid.points()
+    thickness = np.empty((len(parent), len(pts)))
+    for j, prm in enumerate(params):
+        w = sample_gaussian_field(pts, prm.matern_spec, fieldsim._layer_rng(seed, j))
+        thickness[j] = fieldsim._transform(w, prm)
+    return thickness
+
+
+def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed):
+    """Conditional thickness fields layer by layer in parent order, with the
+    borehole covariance and the field factor rebuilt for every layer."""
+    params = fieldsim._params_list(params_by_layer, parent)
+    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
+    pts, bh_idx = fieldsim._match_boreholes(grid, locs)
+    bh_pts = pts[bh_idx]
+    z_cond = np.array([cfg.thicknesses for cfg in configs]).T
+    thickness = np.empty((len(parent), len(pts)))
+    for j, prm in enumerate(params):
+        rng = fieldsim._layer_rng(seed, j)
+        z_j = z_cond[j]
+        pos = z_j > 0
+        w_known = np.empty(len(locs))
+        w_known[pos] = likelihood.phi_inverse(z_j[pos], prm.mu, prm.beta) + prm.tau
+        if np.any(~pos):
+            joint = gaussnum.cov_matrix(bh_pts, prm.matern_spec)
+            m, v = gaussnum.condition(
+                joint, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+            )
+            w_known[~pos] = sample_truncated_mvn(m, v, prm.tau, rng)
+        w = sample_gaussian_field(pts, prm.matern_spec, rng, bh_pts, w_known)
+        thickness[j] = fieldsim._transform(w, prm)
+        thickness[j, bh_idx] = z_j
+    return thickness

@@ -189,6 +189,20 @@ class TestFit:
         cfg.write_text(f"boreholes = {bh}\nparent = {parent}\n")
         assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 2
 
+    def test_zero_thickness_record_exit_2_with_line(self, tmp_path, capsys):
+        parent = tmp_path / "parent.txt"
+        parent.write_text("Green\nRed\n")
+        bh = tmp_path / "bh.csv"
+        bh.write_text(
+            ",".join(io.BOREHOLE_HEADER) + "\n"
+            "a,0.0,0.0,0.0,0,Green,1.0\n"
+            "a,0.0,0.0,0.0,1,Red,0.0\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"boreholes = {bh}\nparent = {parent}\n")
+        assert main(["fit", "--config", str(cfg), "--seed", "1"]) == 2
+        assert f"{bh}:3:" in capsys.readouterr().err
+
     def test_incompatible_borehole_exit_3(self, tmp_path):
         parent = tmp_path / "parent.txt"
         parent.write_text("Green\nRed\n")

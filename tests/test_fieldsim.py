@@ -1,8 +1,12 @@
 """Field simulation: grids, stacking, conditional honoring, cross-sections."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import oracles
+from stratasim import gaussnum
 from stratasim.core import AugmentedConfiguration, ParentSequence
 from stratasim.errors import CapacityError, ParameterError
 from stratasim.fieldsim import (
@@ -171,6 +175,108 @@ class TestConditional:
         locs, configs = _conditioning_setup()
         with pytest.raises(ParameterError):
             simulate_conditional(grid, PARAMS, PARENT, configs[:2], locs, seed=0)
+
+
+# Specs alternate layer by layer, so spec order differs from parent order;
+# Red and Green share a spec.
+ALT_PARENT = ParentSequence(("Green", "Blue", "Red", "Blue", "Green", "Black"))
+ALT_PARAMS = {
+    "Green": LayerParams(p=0.7, mu=1.0, beta=1.0, alpha=12.0, nu=1.5),
+    "Red": LayerParams(p=0.6, mu=1.5, beta=0.8, alpha=12.0, nu=1.5),
+    "Blue": LayerParams(p=0.4, mu=0.8, beta=1.2, alpha=6.0, nu=2.5),
+    "Black": LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=6.0, nu=0.5),
+}
+
+
+def _alt_conditioning():
+    # "a" owns node (4, 4); "b" is within half a cell of it and is appended
+    locs = [[4.0, 4.0], [4.6, 4.3], [11.3, 2.2], [7.9, 13.5]]
+    rng = np.random.default_rng(17)
+    z = rng.uniform(0.2, 2.0, (len(locs), len(ALT_PARENT))).round(3)
+    z[rng.uniform(size=z.shape) < 0.4] = 0.0
+    z[:, 1] = [0.0, 0.0, 0.7, 0.0]
+    configs = [AugmentedConfiguration(c, z[i]) for i, c in enumerate("abcd")]
+    return locs, configs
+
+
+class TestOneFactorPerSpec:
+    """Layers visited in spec order, one factor per spec: the same bits as a
+    per-layer loop in parent order that rebuilds every factor."""
+
+    GRID = SimGrid.regular((0, 0), 2.0, 8, 8)
+    TRANSECT = SimGrid.transect((0, 0), (16, 12), 25)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_unconditional_equals_per_layer_loop(self, seed):
+        for grid in (self.GRID, self.TRANSECT):
+            got = simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
+            want = oracles.simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
+            assert np.array_equal(got.thickness, want)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_conditional_equals_per_layer_loop(self, seed):
+        locs, configs = _alt_conditioning()
+        for grid in (self.GRID, self.TRANSECT):
+            got = simulate_conditional(grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed)
+            want = oracles.simulate_conditional(
+                grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed
+            )
+            assert np.array_equal(got.thickness, want)
+        assert got.points.shape[0] == self.TRANSECT.n_nodes + 4  # none on a station
+
+    def _covariances(self, monkeypatch):
+        built = []
+        real = gaussnum.cov_matrix
+
+        def spy(points, spec):
+            out = real(points, spec)
+            built.append((len(out), spec))
+            return out
+
+        monkeypatch.setattr(gaussnum, "cov_matrix", spy)
+        return built
+
+    @staticmethod
+    def _in_spec_order(specs):
+        return sorted(set(specs), key=lambda s: (s.nu, s.alpha))
+
+    def test_unconditional_one_covariance_per_spec(self, monkeypatch):
+        built = self._covariances(monkeypatch)
+        simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
+        assert {n for n, _ in built} == {self.GRID.n_nodes}
+        specs = [spec for _, spec in built]
+        assert specs == self._in_spec_order(specs) and len(specs) == 3
+
+    def test_conditional_one_covariance_per_spec(self, monkeypatch):
+        locs, configs = _alt_conditioning()
+        built = self._covariances(monkeypatch)
+        simulate_conditional(self.GRID, ALT_PARAMS, ALT_PARENT, configs, locs, 3)
+        # "b" is appended and the others snap to nodes, so the field covariance
+        # covers the 4 boreholes and the 61 nodes that carry none
+        field = [spec for n, spec in built if n == self.GRID.n_nodes + 1]
+        assert field == self._in_spec_order(field) and len(field) == 3
+        # the borehole covariance, for the zero-thickness draws
+        with_zero = [ALT_PARAMS[f].matern_spec for j, f in enumerate(ALT_PARENT.layers)
+                     if any(cfg.thicknesses[j] == 0 for cfg in configs)]
+        boreholes = [spec for n, spec in built if n == len(locs)]
+        assert boreholes == self._in_spec_order(with_zero)
+        assert len(field) + len(boreholes) == len(built)
+
+    def test_one_kernel_alive_at_a_time(self, monkeypatch):
+        kernels = []
+        real = gaussnum.field_kernel
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in kernels)  # the last one was freed
+            out = real(*args, **kwargs)
+            kernels.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(gaussnum, "field_kernel", spy)
+        locs, configs = _alt_conditioning()
+        simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
+        simulate_conditional(self.GRID, ALT_PARAMS, ALT_PARENT, configs, locs, 3)
+        assert len(kernels) == 6
 
 
 class TestCrossSection:

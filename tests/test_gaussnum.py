@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
-from scipy.stats import norm
+from scipy.stats import norm, truncnorm
 
+import oracles
 from stratasim.errors import CapacityError, NumericError, ParameterError
 from stratasim.gaussnum import (
     _genz_probs,
+    _ppf_below,
     _sobol_points,
     MaternSpec,
     chol_psd,
     condition,
     cov_matrix,
+    draw_field,
+    field_kernel,
     matern,
     mvn_cdf_below,
     mvn_logpdf,
@@ -260,6 +264,147 @@ class TestSampleTruncatedMvn:
         ])
         corr = np.corrcoef(draws.T)[0, 1]
         assert abs(corr) < 3.0 / np.sqrt(draws.shape[0])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_TRUNCATION_POINTS = st.one_of(
+    st.floats(-37.0, 0.0),
+    st.floats(0.0, 3.0, exclude_min=True),
+    st.floats(38.0, 1e3),
+    st.floats(-1e3, -38.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 40.0, -40.0, np.inf]),
+)
+_UNIFORMS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1e-12),
+    st.floats(1.0 - 1e-12, 1.0 - 2.0 ** -53),
+    st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53]),
+)
+
+
+class TestPpfBelow:
+    """The closed form gives ``truncnorm.ppf(u, -inf, b)`` bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_UNIFORMS, _TRUNCATION_POINTS)
+    def test_equals_truncnorm(self, u, b):
+        with np.errstate(divide="ignore"):  # log(0) at u = 0 is -inf, as scipy's
+            got = _ppf_below(u, np.float64(b))
+        assert _same_bits(got, truncnorm.ppf(u, -np.inf, b))
+
+    def test_equals_truncnorm_on_a_dense_sample(self):
+        # log1p's last bit matters for b in (0, 3): about one in 200 draws
+        # there would differ with numpy's log1p
+        rng = np.random.default_rng(8)
+        u = rng.random(20_000)
+        b = np.concatenate([rng.uniform(0.0, 3.0, 15_000), rng.uniform(-8.0, 0.0, 5_000)])
+        want = truncnorm.ppf(u, -np.inf, b)
+        got = np.array([_ppf_below(ui, bi) for ui, bi in zip(u, b)])
+        assert _same_bits(got, want)
+
+    def test_deep_lower_tail_is_finite(self):
+        x = _ppf_below(0.5, -40.0)
+        assert np.isfinite(x) and -40.1 < x < -40.0
+
+
+def _truncated_case(d, seed):
+    rng = np.random.default_rng(seed)
+    cov = cov_matrix(rng.uniform(0, 20, (d, 2)), MaternSpec(1.5, 10.0))
+    return rng.normal(0.0, 1.0, d), cov, float(rng.normal(0.3, 0.8))
+
+
+class TestSampleTruncatedMvnBits:
+    """Closed-form conditionals and up-front uniforms change no bit."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_equals_truncnorm_gibbs(self, d):
+        for seed in range(3):
+            mean, cov, upper = _truncated_case(d, 100 * d + seed)
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_truncated_mvn(mean, cov, upper, rng_got)
+            want = oracles.sample_truncated_mvn(mean, cov, upper, rng_want)
+            assert _same_bits(got, want)
+            assert rng_got.random() == rng_want.random()  # same stream position
+
+    def test_short_chain(self):
+        mean, cov, upper = _truncated_case(4, 7)
+        got = sample_truncated_mvn(mean, cov, upper, np.random.default_rng(1),
+                                   sweeps=3, burn_in=1)
+        want = oracles.sample_truncated_mvn(mean, cov, upper, np.random.default_rng(1),
+                                            sweeps=3, burn_in=1)
+        assert _same_bits(got, want)
+
+    def test_deep_conditional_truncation_stays_finite(self):
+        # Strong negative correlation: from the start point x = (-0.5, -0.5)
+        # the first conditional is truncated about 42 standard deviations
+        # below its mean, where a ppf through ndtri(u * ndtr(b)) gives -inf.
+        rho = 0.9999
+        mean = np.array([0.05, 0.05])
+        cov = np.array([[1.0, -rho], [-rho, 1.0]])
+        b_first = -(mean[0] + rho * (0.5 + mean[1])) / np.sqrt(1.0 - rho**2)
+        assert b_first < -40.0
+        rng, rng_want = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(5):
+            x = sample_truncated_mvn(mean, cov, 0.0, rng)
+            assert np.all(np.isfinite(x)) and np.all(x < 0.0)
+            assert _same_bits(x, oracles.sample_truncated_mvn(mean, cov, 0.0, rng_want))
+
+
+class TestFieldKernel:
+    """A kernel serves many draws, each equal to a fresh per-call build."""
+
+    def _points(self):
+        rng = np.random.default_rng(21)
+        cpts = rng.uniform(0, 10, (6, 2))
+        pts = np.vstack([rng.uniform(0, 10, (40, 2)), cpts[[1, 4]]])
+        return pts, cpts
+
+    def test_unconditional_draws_equal_fresh_builds(self):
+        pts, _ = self._points()
+        spec = MaternSpec(2.5, 3.0)
+        kernel = field_kernel(pts, spec)
+        for seed in range(3):
+            got = draw_field(kernel, np.random.default_rng(seed))
+            want = oracles.sample_gaussian_field(pts, spec, np.random.default_rng(seed))
+            assert _same_bits(got, want)
+
+    def test_conditional_draws_equal_fresh_builds(self):
+        pts, cpts = self._points()
+        spec = MaternSpec(0.5, 4.0)
+        kernel = field_kernel(pts, spec, cpts)
+        for seed in range(3):
+            vals = np.random.default_rng(50 + seed).standard_normal(len(cpts))
+            got = draw_field(kernel, np.random.default_rng(seed), vals)
+            want = oracles.sample_gaussian_field(
+                pts, spec, np.random.default_rng(seed), cpts, vals
+            )
+            assert _same_bits(got, want)
+            assert np.array_equal(got[-2:], vals[[1, 4]])  # shared points copy
+
+    def test_every_point_conditioned(self):
+        _, cpts = self._points()
+        kernel = field_kernel(cpts[::-1], MaternSpec(1.5, 2.0), cpts)
+        vals = np.arange(len(cpts), dtype=float)
+        rng = np.random.default_rng(0)
+        assert np.array_equal(draw_field(kernel, rng, vals), vals[::-1])
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    def test_wrapper_equals_kernel_draw(self):
+        pts, cpts = self._points()
+        spec = MaternSpec(1.5, 2.0)
+        vals = np.linspace(-1.0, 1.0, len(cpts))
+        got = sample_gaussian_field(pts, spec, np.random.default_rng(4), cpts, vals)
+        want = draw_field(field_kernel(pts, spec, cpts), np.random.default_rng(4), vals)
+        assert _same_bits(got, want)
+
+    def test_budget_counts_conditioning_points(self):
+        pts, cpts = self._points()
+        with pytest.raises(CapacityError):
+            field_kernel(pts, MaternSpec(1.5, 1.0), cpts, budget=len(pts) + 5)
 
 
 class TestSampleGaussianField:

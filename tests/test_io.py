@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from stratasim import io
-from stratasim.core import AugmentedConfiguration, BoreholeObservation, ParentSequence
+from stratasim.core import (
+    AugmentedConfiguration,
+    BoreholeObservation,
+    ParentSequence,
+    snap_thickness,
+)
 from stratasim.errors import DatasetError
 from stratasim.likelihood import LayerParams
 from stratasim.mcmc import PosteriorSample
@@ -102,6 +107,33 @@ class TestBoreholeFile:
     def test_conflicting_location_rejected(self, tmp_path):
         rows = ["a,1.0,2.0,0.5,0,Green,1.0", "a,1.5,2.0,0.5,1,Blue,1.0"]
         self._rejected_at(tmp_path, rows, 3)
+
+    @pytest.mark.parametrize("z", ["0.0", "-0.5", "1e-12", "4.6e-10"])
+    def test_non_positive_thickness_reports_line(self, tmp_path, z):
+        rows = ["a,1.0,2.0,0.5,0,Green,1.0", f"a,1.0,2.0,0.5,1,Blue,{z}"]
+        self._rejected_at(tmp_path, rows, 3)
+
+    def test_adjacent_records_of_one_facies_report_line(self, tmp_path):
+        rows = ["a,1.0,2.0,0.5,0,Green,1.0", "a,1.0,2.0,0.5,1,Blue,1.0",
+                "a,1.0,2.0,0.5,2,Blue,0.5"]
+        self._rejected_at(tmp_path, rows, 4)
+
+    def test_same_facies_across_boreholes_accepted(self, tmp_path):
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n"
+                        "a,1.0,2.0,0.5,0,Blue,1.0\nb,3.0,2.0,0.5,0,Blue,2e-9\n")
+        assert [b.records for b in io.load_boreholes(path)] == [
+            (("Blue", 1.0),), (("Blue", float(snap_thickness(2e-9))),)
+        ]
+
+    @pytest.mark.parametrize("records", [
+        (("Green", 1.0), ("Blue", 0.0)),
+        (("Green", 1.0), ("Blue", 1e-12)),
+        (("Green", 1.0), ("Green", 0.5)),
+    ])
+    def test_constructor_still_checks_records(self, records):
+        with pytest.raises(DatasetError, match="borehole a: record"):
+            BoreholeObservation("a", 1.0, 2.0, 0.5, records)
 
 
 def _samples():

@@ -14,7 +14,6 @@ from stratasim.likelihood import (
     LayerParams,
     init_from_empirical,
     jacobian_inv,
-    layer_data_from_columns,
     layer_loglik,
     phi_inverse,
     phi_transform,
@@ -23,6 +22,14 @@ from stratasim.likelihood import (
 )
 from stratasim.core import AugmentedConfiguration, BoreholeObservation, ParentSequence
 from stratasim.mcmc import ThicknessModel
+
+
+def layer_data_from_columns(z_col, locations) -> LayerData:
+    """Partition one layer's thickness column by positivity."""
+    z = np.asarray(z_col, dtype=float)
+    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
+    pos = z > 0
+    return LayerData(z[pos], locs[pos], locs[~pos])
 
 
 class TestTransform:

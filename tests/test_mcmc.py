@@ -407,6 +407,6 @@ class TestSelectMostLikely:
             2, {}, (AugmentedConfiguration("b", np.array([2.0, 0.5, 0.0])),), -2.0
         )
         best = select_most_likely(
-            [shared, single], predicate=lambda s: facies_shared(s, parent, "G")
+            [s for s in (shared, single) if facies_shared(s, parent, "G")]
         )
         assert best is shared
