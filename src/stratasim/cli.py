@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,20 @@ def _load_chain(out: Path):
     return groups, samples_rows, config_rows
 
 
+def _layer_groups(parent, cfg: RunConfig, groups) -> list[str]:
+    """Parameter group of each parent layer, each checked against the chain's."""
+    names = [
+        mcmc.parameter_group(parent, j, cfg.tie_by_facies) for j in range(len(parent))
+    ]
+    missing = [g for g in dict.fromkeys(names) if g not in groups]
+    if missing:
+        raise DatasetError(
+            f"samples.csv has no parameter group {', '.join(missing)}; "
+            f"is tie_by_facies the fit's?"
+        )
+    return names
+
+
 def _select_sample(samples_rows, config_rows, selector) -> mcmc.PosteriorSample:
     samples = [
         mcmc.PosteriorSample(it, params, tuple(config_rows[it]), loglik)
@@ -154,13 +169,11 @@ def cmd_simulate(args) -> int:
         stack = fieldsim.simulate_unconditional(grid, cfg.sim_params, parent, args.seed)
     else:
         boreholes = io.load_boreholes(cfg.boreholes)
-        _, samples_rows, config_rows = _load_chain(out)
+        groups, samples_rows, config_rows = _load_chain(out)
         sample = _select_sample(samples_rows, config_rows, args.selector)
-        model = mcmc.ThicknessModel(
-            boreholes, parent, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies
-        )
+        mcmc.ThicknessModel(boreholes, parent)  # rejects incompatible boreholes
         params_by_layer = [
-            sample.params[model.group_of[j]] for j in range(len(parent))
+            sample.params[g] for g in _layer_groups(parent, cfg, groups)
         ]
         by_id = {cfg_.borehole_id: cfg_ for cfg_ in sample.configs}
         absent = [b.id for b in boreholes if b.id not in by_id]
@@ -206,16 +219,20 @@ def cmd_tcd(args) -> int:
     z_max = float(thick[-1]) * 1.2 if thick.size else 1.0
     z_grid = np.linspace(0.0, z_max, 201)
 
-    def group_for_facies():
-        for g in groups:
-            if g == args.facies or g.startswith(f"{args.facies}."):
-                return g
-        raise DatasetError(f"no sampled parameter group for facies {args.facies!r}")
+    # Positive thicknesses pool the facies' layers, and layer j is positive
+    # with probability p_j, so the model curve is the p-weighted mixture of
+    # the layers' curves, summed per parameter group.
+    layer_groups = _layer_groups(parent, cfg, groups)
+    counts = Counter(layer_groups[j] for j in layer_idx)
 
-    g = group_for_facies()
-    curves = np.array([
-        likelihood.tcd(z_grid, params[g]) for _, params, _ in samples_rows
-    ])
+    def model_curve(params):
+        mass = {g: n * params[g].p for g, n in counts.items()}
+        total = sum(mass.values())
+        return sum(
+            (m / total) * likelihood.tcd(z_grid, params[g]) for g, m in mass.items()
+        )
+
+    curves = np.array([model_curve(params) for _, params, _ in samples_rows])
     median = np.median(curves, axis=0)
     q05 = np.quantile(curves, 0.05, axis=0)
     q95 = np.quantile(curves, 0.95, axis=0)

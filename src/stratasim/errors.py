@@ -30,7 +30,7 @@ class NumericError(StrataError):
 
 
 class CapacityError(StrataError):
-    """A problem size exceeds the configured budget."""
+    """A problem size exceeds a fixed capacity of the numeric kernels."""
 
 
 class DegenerateRegionError(StrataError):

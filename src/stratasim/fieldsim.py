@@ -11,14 +11,13 @@ draws at zero-thickness sites.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaussnum, likelihood
-from .core import AugmentedConfiguration, ParentSequence, snap_thickness
-from .errors import CapacityError, ParameterError, PlacementError
-from .gaussnum import MaternSpec
+from .core import AugmentedConfiguration, ParentSequence
+from .errors import ParameterError, PlacementError
 from .likelihood import LayerParams
 
 UNDEFINED_FACIES = "undefined"
@@ -84,15 +83,14 @@ class SimGrid:
         return t0.ravel()
 
 
-def idw_ground_level(grid: SimGrid, locations, values, power: float = 2.0) -> np.ndarray:
-    """Inverse-distance-interpolated ground level from borehole elevations."""
+def idw_ground_level(grid: SimGrid, locations, values) -> np.ndarray:
+    """Inverse-squared-distance-interpolated ground level from borehole elevations."""
     pts = grid.points()
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     vals = np.asarray(values, dtype=float)
     d = np.linalg.norm(pts[:, None, :] - locs[None, :, :], axis=2)
-    out = np.empty(len(pts))
     exact = d < 1e-12
-    w = 1.0 / np.maximum(d, 1e-12) ** power
+    w = 1.0 / np.maximum(d, 1e-12) ** 2.0
     out = (w * vals).sum(axis=1) / w.sum(axis=1)
     hit = exact.any(axis=1)
     out[hit] = vals[np.argmax(exact[hit], axis=1)]
@@ -152,36 +150,21 @@ def _layers_by_spec(params: list[LayerParams]):
         yield spec, list(group)
 
 
-def _transform(w: np.ndarray, params: LayerParams) -> np.ndarray:
-    above = w > params.tau
-    z = np.zeros_like(w)
-    if np.any(above):
-        z[above] = likelihood.phi_transform(
-            w[above] - params.tau, params.mu, params.beta
-        )
-    return z
-
-
 def simulate_unconditional(
     grid: SimGrid,
     params_by_layer,
     parent: ParentSequence,
     seed: int,
-    budget: int = 20_000,
 ) -> LayerStack:
     """Independent latent fields per layer, truncated and transformed."""
     params = _params_list(params_by_layer, parent)
     pts = grid.points()
-    if len(pts) > budget:
-        raise CapacityError(
-            f"{len(pts)} grid nodes exceed the budget {budget}; coarsen the grid"
-        )
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec, budget=budget)
+        kernel = gaussnum.field_kernel(pts, spec)
         for j in layers:
             w = gaussnum.draw_field(kernel, _layer_rng(seed, j))
-            thickness[j] = _transform(w, params[j])
+            thickness[j] = likelihood.thickness_from_latent(w, params[j])
         del kernel  # free this factor before the next spec's is built
     return LayerStack(grid, parent, pts, thickness)
 
@@ -224,32 +207,27 @@ def simulate_conditional(
     configs: list[AugmentedConfiguration],
     locations,
     seed: int,
-    budget: int = 20_000,
 ) -> LayerStack:
     """Conditional simulation honoring every borehole thickness exactly.
 
     Per layer: back-transform positive thicknesses to latent values, draw
     the zero-site latents from their truncated conditional law, then simulate
-    the field conditionally and transform back.  Borehole nodes are finally
-    overwritten with the exact conditioning thicknesses (the kriging residual
-    there is at jitter level, but near-threshold latents could otherwise leak
-    a spurious sliver of thickness).
+    the field conditionally and transform back.  The field copies the
+    borehole latents exactly (``FieldKernel.hit``), but the round trip from
+    thickness to latent and back is not exact in floating point, so borehole
+    nodes are finally overwritten with the conditioning thicknesses.
     """
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     if len(configs) != len(locs):
         raise ParameterError("need one configuration per borehole location")
     pts, bh_idx = _match_boreholes(grid, locs)
-    if len(pts) > budget:
-        raise CapacityError(
-            f"{len(pts)} simulation points exceed the budget {budget}; coarsen the grid"
-        )
     bh_pts = pts[bh_idx]
     z_cond = np.array([cfg.thicknesses for cfg in configs]).T  # (M, n)
 
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec, bh_pts, budget)
+        kernel = gaussnum.field_kernel(pts, spec, bh_pts)
         bh_cov = None  # built on the first layer of this spec with a zero
         for j in layers:
             prm = params[j]
@@ -268,7 +246,7 @@ def simulate_conditional(
                 )
                 w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
             w = gaussnum.draw_field(kernel, rng, w_known)
-            thickness[j] = _transform(w, prm)
+            thickness[j] = likelihood.thickness_from_latent(w, prm)
             thickness[j, bh_idx] = z_j
         del kernel  # free this factor before the next spec's is built
     return LayerStack(grid, parent, pts, thickness)

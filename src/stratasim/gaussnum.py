@@ -26,6 +26,10 @@ _JITTER_MAX = 1e-6
 
 _PROB_FLOOR = 1e-300
 
+# Most points, simulation points plus conditioning points, that one dense
+# field factor may cover: a 20 000-point factor alone takes 3.2 GB.
+CHOLESKY_BUDGET = 20_000
+
 
 @dataclass(frozen=True)
 class MaternSpec:
@@ -142,13 +146,17 @@ def mvn_logpdf_chol(resid: np.ndarray, chol: np.ndarray, logdet: float) -> float
 
 _SOBOL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
-# Points in the first QMC round of ``mvn_cdf_below``.
+# ``mvn_cdf_below``: largest dimension, random shifts, points per shift in the
+# first round, and the cap on points per shift that later rounds double up to.
+_DIM_CAP = 100
+_N_SHIFTS = 10
 _FIRST_ROUND = 128
+_MAX_POINTS = 50_000
 
-# (dim, n_shifts) -> (shifts, first-round point set) of the default rng.  Both
-# are pure functions of the key, so one copy serves every call in the process.
-# Later rounds are not kept: they are rare and much larger.
-_DEFAULT_FIRST_ROUND: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# dim -> (shifts, first-round point set).  Both are pure functions of the
+# dimension, so one copy serves every call in the process.  Later rounds are
+# not kept: they are rare and much larger.
+_FIRST_ROUND_SETS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _sobol_points(dim: int, n: int) -> np.ndarray:
@@ -166,16 +174,15 @@ def _shifted_points(n: int, shifts: np.ndarray) -> np.ndarray:
     return ((base[None, :, :] + shifts[:, None, :]) % 1.0).reshape(n_shifts * n, dim)
 
 
-def _default_first_round(dim: int, n_shifts: int):
+def _first_round(dim: int):
     """Shifts drawn by ``default_rng(0x5EED)`` and their first-round points."""
-    key = (dim, n_shifts)
-    if key not in _DEFAULT_FIRST_ROUND:
-        shifts = np.random.default_rng(0x5EED).random((n_shifts, dim))
+    if dim not in _FIRST_ROUND_SETS:
+        shifts = np.random.default_rng(0x5EED).random((_N_SHIFTS, dim))
         points = _shifted_points(_FIRST_ROUND, shifts)
         shifts.flags.writeable = False
         points.flags.writeable = False
-        _DEFAULT_FIRST_ROUND[key] = (shifts, points)
-    return _DEFAULT_FIRST_ROUND[key]
+        _FIRST_ROUND_SETS[dim] = (shifts, points)
+    return _FIRST_ROUND_SETS[dim]
 
 
 def _genz_probs(lower_chol, b, u01) -> np.ndarray:
@@ -194,35 +201,27 @@ def _genz_probs(lower_chol, b, u01) -> np.ndarray:
     return prob
 
 
-def mvn_cdf_below(
-    upper,
-    mean,
-    cov,
-    tol: float = 1e-4,
-    rng=None,
-    dim_cap: int = 100,
-    n_shifts: int = 10,
-    max_points: int = 50_000,
-):
+def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
     """P(X_1 < b_1, ..., X_d < b_d) with an error estimate.
 
     Randomized QMC (Genz separation of variables over shifted Sobol points),
     with variables reordered by increasing marginal truncation probability.
     Dimension 1 is computed exactly.  Returns (probability, error_estimate);
-    the estimate may exceed tol if the sample cap is hit.
+    the estimate may exceed tol if the sample cap is hit.  Raises
+    ``CapacityError`` above dimension 100.
 
-    With the default rng the result is a deterministic function of the
-    inputs, which the MCMC cache audit relies on.  The shifts then come from
-    ``default_rng(0x5EED)``, so the first round's point set depends on the
-    dimension only and is built once per dimension.
+    The result is a deterministic function of the inputs, which the MCMC
+    cache audit relies on: the shifts come from ``default_rng(0x5EED)``, so
+    the first round's point set depends on the dimension only and is built
+    once per dimension.
     """
     b = np.atleast_1d(np.asarray(upper, dtype=float))
     mean = np.broadcast_to(np.asarray(mean, dtype=float), b.shape)
     d = b.size
     if d == 0:
         return 1.0, 0.0
-    if d > dim_cap:
-        raise CapacityError(f"dimension {d} exceeds the orthant-probability cap {dim_cap}")
+    if d > _DIM_CAP:
+        raise CapacityError(f"dimension {d} exceeds the orthant-probability cap {_DIM_CAP}")
     if not tol > 0:
         raise ParameterError("tol must be positive")
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -235,19 +234,15 @@ def mvn_cdf_below(
     bo = bc[order]
     co = cov[np.ix_(order, order)]
     chol = chol_psd(co)
-    if rng is None:
-        shifts, u = _default_first_round(d - 1, n_shifts)
-    else:
-        shifts = rng.random((n_shifts, d - 1))
-        u = _shifted_points(_FIRST_ROUND, shifts)
+    shifts, u = _first_round(d - 1)
 
     n = _FIRST_ROUND
     while True:
         probs = _genz_probs(chol, bo, u)
-        ests = probs.reshape(n_shifts, n).mean(axis=1)
+        ests = probs.reshape(_N_SHIFTS, n).mean(axis=1)
         est = float(ests.mean())
-        err = float(3.0 * ests.std(ddof=1) / np.sqrt(n_shifts))
-        if err <= tol or n >= max_points:
+        err = float(3.0 * ests.std(ddof=1) / np.sqrt(_N_SHIFTS))
+        if err <= tol or n >= _MAX_POINTS:
             break
         n *= 2
         u = _shifted_points(n, shifts)
@@ -267,19 +262,17 @@ def _ppf_below(u, b):
     return ndtri_exp(np.log(u) + log_mass)
 
 
-def sample_truncated_mvn(
-    mean,
-    cov,
-    upper: float,
-    rng,
-    sweeps: int = 50,
-    burn_in: int = 20,
-) -> np.ndarray:
+# Gibbs sweeps of ``sample_truncated_mvn``: burn-in, then the kept sweeps.
+_GIBBS_BURN_IN = 20
+_GIBBS_SWEEPS = 50
+
+
+def sample_truncated_mvn(mean, cov, upper: float, rng) -> np.ndarray:
     """Approximate draw of X ~ N(mean, cov) conditioned on every coordinate < upper.
 
     Dimension 1 is an exact inverse-CDF draw.  Otherwise this is the state of
     a Gibbs sampler over the univariate truncated-normal full conditionals
-    after a fixed ``burn_in + sweeps`` sweeps from a deterministic start, not
+    after a fixed 20 + 50 sweeps from a deterministic start, not
     an independent draw: no distance to the truncated law is stated, and an
     exact sampler (minimax tilting) is still to come.  Deterministic given the
     rng state; one uniform per coordinate per sweep, drawn up front.  Raises
@@ -308,7 +301,7 @@ def sample_truncated_mvn(
     cond_sd = np.sqrt(cond_var)
 
     x = np.minimum(mean, upper - 0.5 * sd)
-    for u in rng.random((burn_in + sweeps, d)):
+    for u in rng.random((_GIBBS_BURN_IN + _GIBBS_SWEEPS, d)):
         for i in range(d):
             r = prec[i] @ (x - mean) - prec_diag[i] * (x[i] - mean[i])
             m_i = mean[i] - cond_var[i] * r
@@ -339,21 +332,21 @@ class FieldKernel:
     chol_cc: np.ndarray | None = None
 
 
-def field_kernel(points, spec: MaternSpec, cond_points=None,
-                 budget: int = 20_000) -> FieldKernel:
+def field_kernel(points, spec: MaternSpec, cond_points=None) -> FieldKernel:
     """The spec-only part of ``sample_gaussian_field``: covariance and factors.
 
-    Raises ``CapacityError`` when the points and the conditioning points
-    together exceed ``budget``.
+    Raises ``CapacityError``, before any covariance is built, when the points
+    and the conditioning points together exceed ``CHOLESKY_BUDGET``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     conditioned = cond_points is not None and len(cond_points) > 0
     cpts = np.atleast_2d(np.asarray(cond_points, dtype=float)) if conditioned else None
     total = n + (cpts.shape[0] if conditioned else 0)
-    if total > budget:
+    if total > CHOLESKY_BUDGET:
         raise CapacityError(
-            f"{total} simulation points exceed the Cholesky budget {budget}; coarsen the grid"
+            f"{total} simulation points exceed the Cholesky budget {CHOLESKY_BUDGET}; "
+            f"coarsen the grid"
         )
     if not conditioned:
         return FieldKernel(n, chol_psd(cov_matrix(pts, spec)))
@@ -408,12 +401,11 @@ def sample_gaussian_field(
     rng,
     cond_points=None,
     cond_values=None,
-    budget: int = 20_000,
 ) -> np.ndarray:
     """Standardized Gaussian field values at ``points``.
 
     Builds a ``field_kernel`` and draws from it once with ``draw_field``;
     callers drawing several fields of one spec keep the kernel instead.
     """
-    kernel = field_kernel(points, spec, cond_points, budget)
+    kernel = field_kernel(points, spec, cond_points)
     return draw_field(kernel, rng, cond_values)

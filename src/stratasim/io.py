@@ -18,7 +18,7 @@ from .core import (
     ParentSequence,
     valid_record_thickness,
 )
-from .errors import DatasetError
+from .errors import DatasetError, ParameterError
 from .fieldsim import LayerStack
 from .likelihood import LayerParams
 from .mcmc import PosteriorSample
@@ -165,24 +165,41 @@ def save_samples(path, samples: list[PosteriorSample], groups: list[str]):
             writer.writerow(row)
 
 
+def _check_columns(path, header, needed):
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise DatasetError(f"{path}:1: header lacks column(s) {', '.join(missing)}")
+
+
 def load_samples(path):
-    """Returns (groups, rows) with rows of (iteration, params_by_group, loglik)."""
+    """Returns (groups, rows) with rows of (iteration, params_by_group, loglik).
+
+    A header that lacks a group's parameter columns or ``loglik``, or a row
+    whose values do not parse as an integer iteration and valid parameters,
+    raises ``DatasetError`` naming ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not reader.fieldnames or reader.fieldnames[0] != "iteration":
             raise DatasetError(f"{path}: not a samples file")
         groups = [c[2:] for c in reader.fieldnames if c.startswith("p_")]
+        _check_columns(path, reader.fieldnames, [
+            f"{name}_{g}" for g in groups for name in ("mu", "beta", "alpha", "nu")
+        ] + ["loglik"])
         rows = []
-        for row in reader:
-            params = {
-                g: LayerParams(
-                    float(row[f"p_{g}"]), float(row[f"mu_{g}"]),
-                    float(row[f"beta_{g}"]), float(row[f"alpha_{g}"]),
-                    float(row[f"nu_{g}"]),
-                )
-                for g in groups
-            }
-            rows.append((int(row["iteration"]), params, float(row["loglik"])))
+        for ln, row in enumerate(reader, start=2):
+            try:
+                params = {
+                    g: LayerParams(
+                        float(row[f"p_{g}"]), float(row[f"mu_{g}"]),
+                        float(row[f"beta_{g}"]), float(row[f"alpha_{g}"]),
+                        float(row[f"nu_{g}"]),
+                    )
+                    for g in groups
+                }
+                rows.append((int(row["iteration"]), params, float(row["loglik"])))
+            except (TypeError, ValueError, ParameterError) as exc:
+                raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
     return groups, rows
 
 
@@ -198,14 +215,23 @@ def save_configurations(path, samples: list[PosteriorSample], parent: ParentSequ
 
 
 def load_configurations(path):
-    """Returns {iteration: [AugmentedConfiguration, ...]} in file order."""
+    """Returns {iteration: [AugmentedConfiguration, ...]} in file order.
+
+    A missing column or a row whose iteration is not an integer or whose
+    thickness is not a number raises ``DatasetError`` naming ``path:line``.
+    """
     acc: dict[int, dict[str, list[float]]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            it = int(row["iteration"])
-            acc.setdefault(it, {}).setdefault(row["borehole_id"], []).append(
-                float(row["thickness_m"])
-            )
+        reader = csv.DictReader(fh)
+        _check_columns(path, reader.fieldnames or [],
+                       ["iteration", "borehole_id", "thickness_m"])
+        for ln, row in enumerate(reader, start=2):
+            try:
+                it = int(row["iteration"])
+                z = float(row["thickness_m"])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
+            acc.setdefault(it, {}).setdefault(row["borehole_id"], []).append(z)
     return {
         it: [AugmentedConfiguration(bid, np.array(zs)) for bid, zs in per.items()]
         for it, per in acc.items()

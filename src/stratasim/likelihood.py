@@ -93,6 +93,16 @@ def phi_transform(w, mu, beta):
     return mu * np.asarray(w, dtype=float) ** beta
 
 
+def thickness_from_latent(w, params: LayerParams) -> np.ndarray:
+    """Thickness mu (w - tau)^beta where the latent w exceeds tau, else 0."""
+    w = np.asarray(w, dtype=float)
+    above = w > params.tau
+    z = np.zeros_like(w)
+    if np.any(above):
+        z[above] = phi_transform(w[above] - params.tau, params.mu, params.beta)
+    return z
+
+
 def phi_inverse(z, mu, beta):
     """w = (z / mu)^(1/beta) for z >= 0."""
     _check_transform_params(mu, beta)

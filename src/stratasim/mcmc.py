@@ -30,7 +30,6 @@ from . import core, likelihood
 from .core import (
     AugmentedConfiguration,
     BoreholeObservation,
-    Move,
     ParentSequence,
     apply_move,
     enumerate_moves,
@@ -131,6 +130,13 @@ def metropolis_accept(log_ratio: float, rng) -> bool:
     return math.log(rng.random()) < log_ratio
 
 
+def parameter_group(parent: ParentSequence, j: int, tie_by_facies: bool) -> str:
+    """Name of layer ``j``'s parameter group: its facies when layers of one
+    facies are tied, otherwise the facies and the 1-based layer number."""
+    facies = parent.layers[j]
+    return facies if tie_by_facies else f"{facies}.{j + 1}"
+
+
 class ThicknessModel:
     """Dataset + parent-sequence context for likelihood evaluation.
 
@@ -165,12 +171,9 @@ class ThicknessModel:
         self.tie_by_facies = tie_by_facies
         self.cdf_tol = float(cdf_tol)
         self.locations = np.array([[b.x, b.y] for b in boreholes], dtype=float)
-        if tie_by_facies:
-            self.group_of = {j: parent.layers[j] for j in range(len(parent))}
-        else:
-            self.group_of = {
-                j: f"{parent.layers[j]}.{j + 1}" for j in range(len(parent))
-            }
+        self.group_of = {
+            j: parameter_group(parent, j, tie_by_facies) for j in range(len(parent))
+        }
         self.groups = []
         for j in range(len(parent)):
             g = self.group_of[j]
@@ -321,13 +324,8 @@ def update_configuration(
     if not moves:
         return kind, "noop"
     move = moves[rng.integers(len(moves))]
-    if kind == "split":
-        total = cfg.thicknesses[move.j]
-        u = float(snap_thickness(rng.uniform(0.0, total)))
-        if not 0.0 < u < total:
-            return kind, "rejected"
-        move = move.with_u(u)
-    elif kind == "displace":
+    if kind != "merge":
+        # a split's target layer is empty, so this is its donor's thickness
         total = cfg.thicknesses[move.j] + cfg.thicknesses[move.j2]
         u = float(snap_thickness(rng.uniform(0.0, total)))
         if not 0.0 < u < total:

@@ -70,9 +70,7 @@ def generate(scenario: SyntheticScenario):
         prm = scenario.true_params[facies]
         rng = np.random.default_rng(np.random.SeedSequence((int(scenario.seed), 1 + j)))
         w = gaussnum.sample_gaussian_field(locs, prm.matern_spec, rng)
-        above = w > prm.tau
-        z[j] = 0.0
-        z[j, above] = likelihood.phi_transform(w[above] - prm.tau, prm.mu, prm.beta)
+        z[j] = likelihood.thickness_from_latent(w, prm)
     z = snap_thickness(z)
     z[z < 1e-9] = 0.0
 

@@ -74,8 +74,9 @@ def facies_shared(sample: PosteriorSample, parent: ParentSequence, facies: str) 
     )
 
 
-def sample_truncated_mvn(mean, cov, upper, rng, sweeps=50, burn_in=20):
-    """Gibbs draw of N(mean, cov) below ``upper`` through ``truncnorm.ppf``.
+def sample_truncated_mvn(mean, cov, upper, rng):
+    """Gibbs draw of N(mean, cov) below ``upper`` through ``truncnorm.ppf``:
+    20 burn-in sweeps, then 50 more.
 
     One uniform per coordinate update, drawn as it is used, and the
     precision diagonal read inside the sweep.
@@ -100,7 +101,7 @@ def sample_truncated_mvn(mean, cov, upper, rng, sweeps=50, burn_in=20):
     cond_sd = np.sqrt(cond_var)
 
     x = np.minimum(mean, upper - 0.5 * sd)
-    for _ in range(burn_in + sweeps):
+    for _ in range(20 + 50):
         for i in range(d):
             r = prec[i] @ (x - mean) - prec[i, i] * (x[i] - mean[i])
             m_i = mean[i] - cond_var[i] * r
@@ -153,7 +154,7 @@ def simulate_unconditional(grid, params_by_layer, parent, seed):
     thickness = np.empty((len(parent), len(pts)))
     for j, prm in enumerate(params):
         w = sample_gaussian_field(pts, prm.matern_spec, fieldsim._layer_rng(seed, j))
-        thickness[j] = fieldsim._transform(w, prm)
+        thickness[j] = likelihood.thickness_from_latent(w, prm)
     return thickness
 
 
@@ -179,6 +180,6 @@ def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed
             )
             w_known[~pos] = sample_truncated_mvn(m, v, prm.tau, rng)
         w = sample_gaussian_field(pts, prm.matern_spec, rng, bh_pts, w_known)
-        thickness[j] = fieldsim._transform(w, prm)
+        thickness[j] = likelihood.thickness_from_latent(w, prm)
         thickness[j, bh_idx] = z_j
     return thickness

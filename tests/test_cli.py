@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratasim import io, mcmc
+from stratasim import io, likelihood, mcmc
 from stratasim.cli import main
 from stratasim.config import RunConfig
 from stratasim.errors import DatasetError
@@ -333,6 +333,100 @@ class TestTcd:
     def test_unknown_facies_exit_2(self, workspace):
         _, cfg = workspace
         assert main(["tcd", "--config", str(cfg), "--facies", "Purple"]) == 2
+
+    def test_tied_model_curve_is_the_facies_curve(self, workspace):
+        root, cfg = workspace
+        assert main(["tcd", "--config", str(cfg), "--facies", "Red"]) == 0
+        rows = _tcd_rows(root / "out" / "tcd_Red.csv")
+        _, samples = io.load_samples(root / "out" / "samples.csv")
+        curves = [likelihood.tcd(rows[:, 0], params["Red"]) for _, params, _ in samples]
+        assert np.array_equal(rows[:, 1], np.median(curves, axis=0))
+
+    def test_untied_model_curve_mixes_every_layer(self, workspace, tmp_path):
+        # Untied, each Blue layer has its own group; the empirical curve pools
+        # every Blue layer, so the model curve is their p-weighted mixture.
+        root, cfg = workspace
+        cfg2 = tmp_path / "untied.cfg"
+        cfg2.write_text(
+            cfg.read_text().replace(f"output_dir = {root}/out", f"output_dir = {tmp_path}")
+            + "tie_by_facies = false\nn_iter = 10\nburn_in = 0\nthin = 5\n"
+        )
+        assert main(["fit", "--config", str(cfg2), "--seed", "3"]) == 0
+        assert main(["tcd", "--config", str(cfg2), "--facies", "Blue"]) == 0
+        rows = _tcd_rows(tmp_path / "tcd_Blue.csv")
+        parent = io.load_parent(root / "synth" / "parent.txt")
+        groups = [f"Blue.{j + 1}" for j in parent.layers_of("Blue")]
+        _, samples = io.load_samples(tmp_path / "samples.csv")
+        curves = []
+        for _, params, _ in samples:
+            ps = np.array([params[g].p for g in groups])
+            tcds = np.array([likelihood.tcd(rows[:, 0], params[g]) for g in groups])
+            curves.append(ps @ tcds / ps.sum())
+        assert len(groups) == 5
+        np.testing.assert_allclose(rows[:, 1], np.median(curves, axis=0), rtol=1e-12)
+
+    def test_grouping_unlike_the_fit_exit_2(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        cfg2 = tmp_path / "untied.cfg"
+        cfg2.write_text(cfg.read_text() + "tie_by_facies = false\n")
+        assert main(["tcd", "--config", str(cfg2), "--facies", "Blue"]) == 2
+        assert main(["simulate", "--config", str(cfg2), "--seed", "2",
+                     "--mode", "conditional"]) == 2
+        assert "tie_by_facies" in capsys.readouterr().err
+
+
+def _tcd_rows(path):
+    lines = path.read_text().splitlines()
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+class TestMalformedChainFiles:
+    """Chain files that do not parse exit 2 with ``path:line``, not a traceback."""
+
+    def _copy_chain(self, workspace, tmp_path, samples=None, configurations=None):
+        root, cfg = workspace
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, edit in (("samples.csv", samples),
+                           ("configurations.csv", configurations)):
+            text = (root / "out" / name).read_text()
+            (out / name).write_text(edit(text) if edit else text)
+        cfg2 = tmp_path / "run.cfg"
+        cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
+                                                f"output_dir = {out}"))
+        return out, cfg2
+
+    def _exit_2_at(self, cfg, where, capsys):
+        assert main(["simulate", "--config", str(cfg), "--seed", "2",
+                     "--mode", "conditional"]) == 2
+        assert main(["tcd", "--config", str(cfg), "--facies", "Blue"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(where) == 2 and "Traceback" not in err
+
+    def test_non_numeric_loglik(self, workspace, tmp_path, capsys):
+        def edit(text):
+            lines = text.splitlines()
+            lines[2] = lines[2].rsplit(",", 1)[0] + ",high"
+            return "\n".join(lines) + "\n"
+
+        out, cfg = self._copy_chain(workspace, tmp_path, samples=edit)
+        self._exit_2_at(cfg, f"{out / 'samples.csv'}:3:", capsys)
+
+    def test_non_integer_iteration(self, workspace, tmp_path, capsys):
+        def edit(text):
+            lines = text.splitlines()
+            lines[4] = "x" + lines[4]
+            return "\n".join(lines) + "\n"
+
+        out, cfg = self._copy_chain(workspace, tmp_path, configurations=edit)
+        self._exit_2_at(cfg, f"{out / 'configurations.csv'}:5:", capsys)
+
+    def test_group_without_all_columns(self, workspace, tmp_path, capsys):
+        def edit(text):
+            return text.replace("mu_Blue", "mean_Blue", 1)
+
+        out, cfg = self._copy_chain(workspace, tmp_path, samples=edit)
+        self._exit_2_at(cfg, f"{out / 'samples.csv'}:1:", capsys)
 
 
 class TestValidate:

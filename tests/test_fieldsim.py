@@ -108,9 +108,9 @@ class TestUnconditional:
         assert np.array_equal(surf[0], np.full(36, 2.0))
 
     def test_budget(self):
-        grid = SimGrid.regular((0, 0), 1.0, 200, 200)
+        grid = SimGrid.regular((0, 0), 1.0, gaussnum.CHOLESKY_BUDGET + 1, 1)
         with pytest.raises(CapacityError):
-            simulate_unconditional(grid, PARAMS, PARENT, seed=0, budget=1000)
+            simulate_unconditional(grid, PARAMS, PARENT, seed=0)
 
 
 def _conditioning_setup():
@@ -134,6 +134,13 @@ class TestConditional:
                 node = int(np.argmin(np.linalg.norm(pts - np.array(loc), axis=1)))
                 got = stack.thickness[:, node]
                 assert np.max(np.abs(got - cfg.thicknesses)) <= 1e-8
+
+    def test_budget_counts_boreholes(self):
+        # the transect alone fits the budget; with the boreholes it does not
+        grid = SimGrid.transect((0, 0), (1, 0), gaussnum.CHOLESKY_BUDGET - 2)
+        locs, configs = _conditioning_setup()
+        with pytest.raises(CapacityError):
+            simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
 
     def test_off_grid_borehole_appended(self):
         grid = SimGrid.regular((0, 0), 4.0, 4, 4)  # nodes at multiples of 4

@@ -9,7 +9,9 @@ from scipy.stats import norm, truncnorm
 
 import oracles
 from stratasim.errors import CapacityError, NumericError, ParameterError
+from stratasim import gaussnum
 from stratasim.gaussnum import (
+    CHOLESKY_BUDGET,
     _genz_probs,
     _ppf_below,
     _sobol_points,
@@ -179,21 +181,20 @@ class TestMvnCdfBelow:
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
-            mvn_cdf_below(np.zeros(5), np.zeros(5), np.eye(5), dim_cap=4)
+            mvn_cdf_below(np.zeros(101), np.zeros(101), np.eye(101))
 
     def test_mean_shift(self):
         prob, _ = mvn_cdf_below([1.0], [1.0], [[4.0]])
         assert prob == 0.5
 
 
-def _per_call_mvn_cdf_below(upper, mean, cov, tol, rng=None, max_points=50_000):
+def _per_call_mvn_cdf_below(upper, mean, cov, tol, max_points=50_000):
     """Reference ``mvn_cdf_below`` that draws its shifts and builds every
     point set on each call (10 shifts, first round of 128 points)."""
     b = np.asarray(upper, dtype=float)
     bc = b - np.asarray(mean, dtype=float)
     d = b.size
-    if rng is None:
-        rng = np.random.default_rng(0x5EED)
+    rng = np.random.default_rng(0x5EED)
     order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
     chol = chol_psd(cov[np.ix_(order, order)])
     shifts = rng.random((10, d - 1))
@@ -225,18 +226,12 @@ class TestMvnCdfBelowPointSets:
             got = mvn_cdf_below(upper, mean, cov, tol=1e-2)
             assert got == _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-2)
 
-    def test_later_rounds(self):
+    def test_later_rounds(self, monkeypatch):
+        monkeypatch.setattr(gaussnum, "_MAX_POINTS", 512)
         upper, mean, cov = self._case(6, 40)
-        got = mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
+        got = mvn_cdf_below(upper, mean, cov, tol=1e-12)
         want = _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
         assert got == want and got[1] > 1e-12  # ran to the 512-point round
-
-    def test_explicit_rng(self):
-        upper, mean, cov = self._case(5, 41)
-        got = mvn_cdf_below(upper, mean, cov, tol=1e-2, rng=np.random.default_rng(7))
-        want = _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-2,
-                                       rng=np.random.default_rng(7))
-        assert got == want
 
 
 class TestSampleTruncatedMvn:
@@ -330,14 +325,6 @@ class TestSampleTruncatedMvnBits:
             assert _same_bits(got, want)
             assert rng_got.random() == rng_want.random()  # same stream position
 
-    def test_short_chain(self):
-        mean, cov, upper = _truncated_case(4, 7)
-        got = sample_truncated_mvn(mean, cov, upper, np.random.default_rng(1),
-                                   sweeps=3, burn_in=1)
-        want = oracles.sample_truncated_mvn(mean, cov, upper, np.random.default_rng(1),
-                                            sweeps=3, burn_in=1)
-        assert _same_bits(got, want)
-
     def test_deep_conditional_truncation_stays_finite(self):
         # Strong negative correlation: from the start point x = (-0.5, -0.5)
         # the first conditional is truncated about 42 standard deviations
@@ -402,9 +389,11 @@ class TestFieldKernel:
         assert _same_bits(got, want)
 
     def test_budget_counts_conditioning_points(self):
-        pts, cpts = self._points()
+        _, cpts = self._points()
+        pts = np.zeros((CHOLESKY_BUDGET + 1 - len(cpts), 2))
         with pytest.raises(CapacityError):
-            field_kernel(pts, MaternSpec(1.5, 1.0), cpts, budget=len(pts) + 5)
+            field_kernel(pts, MaternSpec(1.5, 1.0), cpts)
+        assert field_kernel(pts[:2], MaternSpec(1.5, 1.0), cpts).n_cond == len(cpts)
 
 
 class TestSampleGaussianField:
@@ -426,10 +415,9 @@ class TestSampleGaussianField:
         assert np.max(np.abs(f[:5] - cvals)) < 1e-6
 
     def test_budget_enforced(self):
-        pts = np.zeros((100, 2))
+        pts = np.zeros((CHOLESKY_BUDGET + 1, 2))
         with pytest.raises(CapacityError):
-            sample_gaussian_field(pts, MaternSpec(1.5, 1.0),
-                                  np.random.default_rng(0), budget=50)
+            sample_gaussian_field(pts, MaternSpec(1.5, 1.0), np.random.default_rng(0))
 
     def test_variogram_matches_model(self):
         # 1-D transect; empirical variogram of unconditional draws vs 1 - rho(h)

@@ -18,6 +18,7 @@ from stratasim.likelihood import (
     phi_inverse,
     phi_transform,
     tcd,
+    thickness_from_latent,
     thickness_moments,
 )
 from stratasim.core import AugmentedConfiguration, BoreholeObservation, ParentSequence
@@ -61,6 +62,15 @@ class TestTransform:
             h = 1e-6 * z
             fd = (phi_inverse(z + h, mu, beta) - phi_inverse(z - h, mu, beta)) / (2 * h)
             assert jacobian_inv(z, mu, beta) == pytest.approx(fd, rel=1e-6)
+
+    def test_thickness_from_latent(self):
+        params = LayerParams(p=0.3, mu=2.0, beta=1.5, alpha=1.0)
+        tau = params.tau
+        w = np.array([tau - 1.0, tau, tau + 0.25, tau + 2.0])
+        z = thickness_from_latent(w, params)
+        assert z.tolist()[:2] == [0.0, 0.0]
+        assert np.array_equal(z[2:], 2.0 * (w[2:] - tau) ** 1.5)
+        assert thickness_from_latent(np.full(3, tau), params).tolist() == [0.0] * 3
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):

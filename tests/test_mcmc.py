@@ -21,6 +21,7 @@ from stratasim.mcmc import (
     ThicknessModel,
     _audit,
     metropolis_accept,
+    parameter_group,
     pc_log_prior,
     run_chain,
     select_most_likely,
@@ -67,6 +68,19 @@ class TestProposalSpec:
             ProposalSpec(d_mu=0.0)
         with pytest.raises(ParameterError):
             ProposalSpec(move_probs=(0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("tied, want", [
+    (True, ["Blue", "Red", "Blue"]),
+    (False, ["Blue.1", "Red.2", "Blue.3"]),
+])
+def test_parameter_groups(tied, want):
+    parent = ParentSequence(("Blue", "Red", "Blue"))
+    bh = BoreholeObservation("b", 0.0, 0.0, 0.0, (("Blue", 1.0),))
+    model = ThicknessModel([bh], parent, tie_by_facies=tied)
+    assert [parameter_group(parent, j, tied) for j in range(3)] == want
+    assert [model.group_of[j] for j in range(3)] == want
+    assert model.groups == list(dict.fromkeys(want))
 
 
 PARENT1 = ParentSequence(("Blue",))
