@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fieldsim, io, likelihood, mcmc, synthgen
+from . import core, fieldsim, io, likelihood, mcmc, synthgen
 from .config import RunConfig
 from .errors import (
     CapacityError,
@@ -96,11 +96,12 @@ def _make_grid(cfg: RunConfig, boreholes=None) -> fieldsim.SimGrid:
     return grid
 
 
-def _load_chain(out: Path):
+def _load_chain(out: Path, parent):
     """Groups, sample rows and configurations of the fit in ``out``.
 
-    Missing files, or a sample without configurations, raise
-    ``IncompatibleSequenceError`` (exit 3).
+    Missing files, a sample without configurations, or a configuration
+    whose length is not the parent's raise ``IncompatibleSequenceError``
+    (exit 3).
     """
     samples_path = out / "samples.csv"
     configs_path = out / "configurations.csv"
@@ -116,6 +117,13 @@ def _load_chain(out: Path):
             f"{configs_path}: no configurations for sample iteration(s) "
             f"{', '.join(map(str, missing))}"
         )
+    for it, configs in config_rows.items():
+        for c in configs:
+            if len(c.thicknesses) != len(parent):
+                raise IncompatibleSequenceError(
+                    f"{configs_path}: iteration {it}, borehole {c.borehole_id} has "
+                    f"{len(c.thicknesses)} layers; the parent has {len(parent)}"
+                )
     return groups, samples_rows, config_rows
 
 
@@ -169,7 +177,7 @@ def cmd_simulate(args) -> int:
         stack = fieldsim.simulate_unconditional(grid, cfg.sim_params, parent, args.seed)
     else:
         boreholes = io.load_boreholes(cfg.boreholes)
-        groups, samples_rows, config_rows = _load_chain(out)
+        groups, samples_rows, config_rows = _load_chain(out, parent)
         sample = _select_sample(samples_rows, config_rows, args.selector)
         mcmc.ThicknessModel(boreholes, parent)  # rejects incompatible boreholes
         params_by_layer = [
@@ -183,6 +191,13 @@ def cmd_simulate(args) -> int:
                 f"{', '.join(absent)}"
             )
         ordered = [by_id[b.id] for b in boreholes]
+        unlike = [b.id for b, c in zip(boreholes, ordered)
+                  if core.observe(c, parent) != list(b.records)]
+        if unlike:
+            raise IncompatibleSequenceError(
+                f"configurations at iteration {sample.iteration} do not reproduce "
+                f"the records of borehole(s) {', '.join(unlike)}"
+            )
         grid = _make_grid(cfg, boreholes)
         stack = fieldsim.simulate_conditional(
             grid, params_by_layer, parent, ordered,
@@ -191,8 +206,9 @@ def cmd_simulate(args) -> int:
         print(f"conditional simulation from sample at iteration {sample.iteration}")
 
     if stack.grid.kind == "grid":
-        io.save_raster(out / "raster.csv", stack)
-        io.save_stack_grid(out / "surfaces.txt", stack)
+        text = io.thickness_text(stack)
+        io.save_raster(out / "raster.csv", stack, text)
+        io.save_stack_grid(out / "surfaces.txt", stack, text)
     else:
         dist, columns, boundaries = fieldsim.cross_section(stack)
         io.save_section(out / "section.csv", dist, columns)
@@ -208,7 +224,7 @@ def cmd_tcd(args) -> int:
     if args.facies not in parent.facies:
         raise DatasetError(f"unknown facies {args.facies!r}; parent has {parent.facies}")
     out = Path(cfg.output_dir)
-    groups, samples_rows, config_rows = _load_chain(out)
+    groups, samples_rows, config_rows = _load_chain(out, parent)
 
     layer_idx = parent.layers_of(args.facies)
     thick = []

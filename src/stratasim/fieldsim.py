@@ -2,7 +2,9 @@
 
 Layers are simulated independently (per-layer seeded streams), transformed
 to thicknesses, and stacked above a ground level to give depth surfaces.
-Layers sharing a Matern spec share one field factor, built once per call.
+Layers sharing a Matern spec share one field kernel, built once per call:
+a circulant embedding for unconditional grids where one meets its error
+contract, a dense Cholesky factor otherwise.
 Conditional simulation honors every borehole thickness, including the zeros,
 by conditioning the latent field on back-transformed values and truncated
 draws at zero-thickness sites.
@@ -156,16 +158,25 @@ def simulate_unconditional(
     parent: ParentSequence,
     seed: int,
 ) -> LayerStack:
-    """Independent latent fields per layer, truncated and transformed."""
+    """Independent latent fields per layer, truncated and transformed.
+
+    On a regular grid a spec's fields come from ``gaussnum.lattice_kernel``
+    when it finds an embedding; transects, and grids where it finds none,
+    use the dense ``gaussnum.field_kernel``.
+    """
     params = _params_list(params_by_layer, parent)
     pts = grid.points()
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec)
+        kernel = None
+        if grid.kind == "grid":
+            kernel = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing, spec)
+        if kernel is None:
+            kernel = gaussnum.field_kernel(pts, spec)
         for j in layers:
             w = gaussnum.draw_field(kernel, _layer_rng(seed, j))
             thickness[j] = likelihood.thickness_from_latent(w, params[j])
-        del kernel  # free this factor before the next spec's is built
+        del kernel  # free this kernel before the next spec's is built
     return LayerStack(grid, parent, pts, thickness)
 
 

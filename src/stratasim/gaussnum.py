@@ -3,7 +3,8 @@
 Matern correlations (half-integer closed forms), covariance assembly,
 Gaussian conditioning, multivariate normal log-density, orthant
 probabilities by randomized quasi-Monte Carlo, truncated multivariate
-normal sampling, and dense-Cholesky random field simulation.
+normal sampling, and random field simulation: dense Cholesky for any point
+set, FFT circulant embedding for regular grids.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.spatial.distance import cdist
 from scipy.stats import qmc
@@ -27,7 +29,8 @@ _JITTER_MAX = 1e-6
 _PROB_FLOOR = 1e-300
 
 # Most points, simulation points plus conditioning points, that one dense
-# field factor may cover: a 20 000-point factor alone takes 3.2 GB.
+# field factor may cover: a 20 000-point factor alone takes 3.2 GB.  A
+# lattice embedding may have up to its square, the same memory.
 CHOLESKY_BUDGET = 20_000
 
 
@@ -49,17 +52,26 @@ class MaternSpec:
 
 
 def matern(h, spec: MaternSpec):
-    """Correlation at lag distance h >= 0 (closed forms, no Bessel calls)."""
-    r = np.asarray(h, dtype=float) / spec.alpha
+    """Correlation at lag distance h >= 0 (closed forms, no Bessel calls).
+
+    Computed in place on the scaled lags r, in the operation order of
+    ``(1 + r + r*r/3) * exp(-r)``, so a large lag array makes few temporaries.
+    """
+    r = np.atleast_1d(np.asarray(h, dtype=float)) / spec.alpha
     if np.any(r < 0):
         raise ParameterError("distance must be non-negative")
-    if spec.nu == 0.5:
-        out = np.exp(-r)
+    out = np.negative(r)
+    np.exp(out, out=out)
+    if spec.nu == 2.5:
+        r2 = r * r
+        r2 /= 3.0
+        r += 1.0
+        r += r2
+        out *= r
     elif spec.nu == 1.5:
-        out = (1.0 + r) * np.exp(-r)
-    else:
-        out = (1.0 + r + r * r / 3.0) * np.exp(-r)
-    return out if out.ndim else float(out)
+        r += 1.0
+        out *= r
+    return out if np.ndim(h) else float(out[0])
 
 
 def cov_matrix(points, spec: MaternSpec) -> np.ndarray:
@@ -368,14 +380,71 @@ def field_kernel(points, spec: MaternSpec, cond_points=None) -> FieldKernel:
     )
 
 
-def draw_field(kernel: FieldKernel, rng, cond_values=None) -> np.ndarray:
-    """One standardized field from a ``field_kernel``.
+@dataclass(frozen=True)
+class LatticeKernel:
+    """Circulant embedding of a Matern field on an ``nx`` x ``ny`` lattice.
 
-    Unconditional draws are the factor times standard normals.  Conditional
-    draws use conditioning-by-kriging (unconditional draw plus kriging
-    correction) and interpolate ``cond_values`` exactly up to the
-    factorization jitter.
+    Built by ``lattice_kernel``.  ``shape`` is the (mx, my) torus the lattice
+    is embedded in; ``sqrt_eig`` holds the square roots of the clipped
+    eigenvalues of its covariance, as the ``rfft2`` half-spectrum.
     """
+
+    nx: int
+    ny: int
+    shape: tuple[int, int]
+    sqrt_eig: np.ndarray
+
+
+def _torus_lags(m: int, spacing: float) -> np.ndarray:
+    """Distance along one axis of an m-point torus from node 0, in km."""
+    k = np.arange(m)
+    return spacing * np.minimum(k, m - k)
+
+
+def lattice_kernel(nx: int, ny: int, spacing: float, spec: MaternSpec):
+    """Circulant embedding of the field over a regular ``nx`` x ``ny`` grid,
+    or None when no embedding within the size rule meets the error contract.
+
+    The embedding starts at ``next_fast_len(2(n - 1))`` points per axis and
+    doubles.  One of M = mx*my points is tried only while M log2 M <= N^2,
+    N = nx*ny (one FFT draw then costs no more than one dense mat-vec), and
+    M <= ``CHOLESKY_BUDGET``^2.  It is accepted iff its clipped negative
+    eigenvalues, summed over the full spectrum and divided by M, are at most
+    ``_JITTER_MAX``: that sum bounds the error of every entry of the
+    covariance the draws have, the same ceiling the dense factor's jitter has.
+    """
+    n = nx * ny
+    mx, my = (fft.next_fast_len(max(2 * (k - 1), 1), real=True) for k in (nx, ny))
+    while mx * my * np.log2(mx * my) <= float(n) ** 2 and mx * my <= CHOLESKY_BUDGET ** 2:
+        dx = _torus_lags(mx, spacing)
+        dy = _torus_lags(my, spacing)
+        eig = fft.rfft2(matern(np.hypot(dx[:, None], dy[None, :]), spec)).real
+        # rfft2 keeps columns 0..my//2; each column but 0 and my/2 stands for two
+        weight = np.full(my // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if my % 2 == 0:
+            weight[-1] = 1.0
+        negative = -float(np.minimum(eig, 0.0).sum(axis=0) @ weight) / (mx * my)
+        if negative <= _JITTER_MAX:
+            return LatticeKernel(nx, ny, (mx, my), np.sqrt(np.maximum(eig, 0.0)))
+        mx, my = 2 * mx, 2 * my
+    return None
+
+
+def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np.ndarray:
+    """One standardized field from a ``field_kernel`` or ``lattice_kernel``.
+
+    Lattice draws filter standard normals on the torus by the square-root
+    spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
+    (x index major).  Dense unconditional draws are the factor times
+    standard normals.  Conditional draws use conditioning-by-kriging
+    (unconditional draw plus kriging correction) and interpolate
+    ``cond_values`` exactly up to the factorization jitter.
+    """
+    if isinstance(kernel, LatticeKernel):
+        z = rng.standard_normal(kernel.shape)
+        f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
+        return f[: kernel.nx, : kernel.ny].ravel()
     if kernel.n_cond == 0:
         return kernel.chol @ rng.standard_normal(kernel.n_points)
     w = np.asarray(cond_values, dtype=float)

@@ -262,25 +262,46 @@ def save_summary(path, samples: list[PosteriorSample], groups: list[str]):
                 )
 
 
-def save_raster(path, stack: LayerStack):
-    """Raster CSV: one row per (node, layer) with planar coordinates."""
+def thickness_text(stack: LayerStack) -> list[list[str]]:
+    """The grid nodes' thicknesses as written, one list of strings per layer.
+
+    ``save_raster`` and ``save_stack_grid`` both write these strings; a caller
+    writing both files passes one copy to each, so every float is formatted
+    once.
+    """
+    return [
+        list(map(repr, row)) for row in stack.thickness[:, : stack.grid.n_nodes].tolist()
+    ]
+
+
+def save_raster(path, stack: LayerStack, text: list[list[str]] | None = None):
+    """Raster CSV: one row per (node, layer) with planar coordinates.
+
+    ``text`` is the stack's ``thickness_text`` when the caller has it.
+    """
+    text = thickness_text(stack) if text is None else text
+    pts = stack.points[: stack.grid.n_nodes]
+    xs = map(repr, pts[:, 0].tolist())
+    ys = map(repr, pts[:, 1].tolist())
+    layers = list(enumerate(stack.parent.layers))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_km", "y_km", "layer_index", "facies", "thickness_m"])
-        n_grid = stack.grid.n_nodes
-        pts = stack.points[:n_grid]
-        for c in range(n_grid):
-            for j in range(len(stack.parent)):
-                writer.writerow(
-                    [_fmt(pts[c, 0]), _fmt(pts[c, 1]), j,
-                     stack.parent.layers[j], _fmt(stack.thickness[j, c])]
-                )
+        writer.writerows(
+            (x, y, j, facies, text[j][c])
+            for c, (x, y) in enumerate(zip(xs, ys))
+            for j, facies in layers
+        )
 
 
-def save_stack_grid(path, stack: LayerStack):
+def save_stack_grid(path, stack: LayerStack, text: list[list[str]] | None = None):
     """Gridded text format: header (origin, spacing, dims), then one line of
-    node thicknesses per layer."""
+    node thicknesses per layer.
+
+    ``text`` is the stack's ``thickness_text`` when the caller has it.
+    """
     grid = stack.grid
+    text = thickness_text(stack) if text is None else text
     lines = [
         f"# stratasim gridded stack",
         f"# kind {grid.kind}",
@@ -289,9 +310,7 @@ def save_stack_grid(path, stack: LayerStack):
         f"# dims {grid.nx} {grid.ny} layers {len(stack.parent)}",
         f"# facies {' '.join(stack.parent.layers)}",
     ]
-    n_grid = grid.n_nodes
-    for j in range(len(stack.parent)):
-        lines.append(" ".join(_fmt(v) for v in stack.thickness[j, :n_grid]))
+    lines.extend(" ".join(row) for row in text)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +74,18 @@ def facies_shared(sample: PosteriorSample, parent: ParentSequence, facies: str) 
     return any(
         int(np.sum(cfg.thicknesses[idx] > 0)) >= 2 for cfg in sample.configs
     )
+
+
+def matern(h, spec):
+    """Matern correlation as one expression per nu, temporaries and all."""
+    r = np.asarray(h, dtype=float) / spec.alpha
+    if spec.nu == 0.5:
+        out = np.exp(-r)
+    elif spec.nu == 1.5:
+        out = (1.0 + r) * np.exp(-r)
+    else:
+        out = (1.0 + r + r * r / 3.0) * np.exp(-r)
+    return out if out.ndim else float(out)
 
 
 def sample_truncated_mvn(mean, cov, upper, rng):
@@ -147,13 +161,49 @@ def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None)
     return out
 
 
+class _FixedNormals:
+    """Stands in for a generator: ``standard_normal`` returns ``z``."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert self.z.shape == tuple(shape)
+        return self.z
+
+
+def lattice_draw_covariance(kernel: gaussnum.LatticeKernel) -> np.ndarray:
+    """Covariance of ``draw_field(kernel, ...)`` over the grid nodes.
+
+    A draw is linear in its standard normals z, f = A z; each column of A is
+    the draw made from one unit vector, so the covariance is A A'.
+    """
+    m = int(np.prod(kernel.shape))
+    cols = []
+    for k in range(m):
+        e = np.zeros(m)
+        e[k] = 1.0
+        cols.append(gaussnum.draw_field(kernel, _FixedNormals(e.reshape(kernel.shape))))
+    a = np.column_stack(cols)
+    return a @ a.T
+
+
 def simulate_unconditional(grid, params_by_layer, parent, seed):
-    """Thickness fields layer by layer in parent order, one factor per layer."""
+    """Thickness fields layer by layer in parent order, one kernel per layer:
+    the lattice kernel where one exists for a grid, else a dense factor."""
     params = fieldsim._params_list(params_by_layer, parent)
     pts = grid.points()
     thickness = np.empty((len(parent), len(pts)))
     for j, prm in enumerate(params):
-        w = sample_gaussian_field(pts, prm.matern_spec, fieldsim._layer_rng(seed, j))
+        rng = fieldsim._layer_rng(seed, j)
+        lattice = None
+        if grid.kind == "grid":
+            lattice = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing,
+                                              prm.matern_spec)
+        if lattice is None:
+            w = sample_gaussian_field(pts, prm.matern_spec, rng)
+        else:
+            w = gaussnum.draw_field(lattice, rng)
         thickness[j] = likelihood.thickness_from_latent(w, prm)
     return thickness
 
@@ -183,3 +233,39 @@ def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed
         thickness[j] = likelihood.thickness_from_latent(w, prm)
         thickness[j, bh_idx] = z_j
     return thickness
+
+
+def _fmt(v) -> str:
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def save_raster(path, stack):
+    """Raster CSV written row by row, every value formatted as it is written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_km", "y_km", "layer_index", "facies", "thickness_m"])
+        n_grid = stack.grid.n_nodes
+        pts = stack.points[:n_grid]
+        for c in range(n_grid):
+            for j in range(len(stack.parent)):
+                writer.writerow(
+                    [_fmt(pts[c, 0]), _fmt(pts[c, 1]), j,
+                     stack.parent.layers[j], _fmt(stack.thickness[j, c])]
+                )
+
+
+def save_stack_grid(path, stack):
+    """Gridded text format with every thickness formatted as it is written."""
+    grid = stack.grid
+    lines = [
+        "# stratasim gridded stack",
+        f"# kind {grid.kind}",
+        f"# origin {_fmt(grid.origin[0])} {_fmt(grid.origin[1])}",
+        f"# spacing {_fmt(grid.spacing)}",
+        f"# dims {grid.nx} {grid.ny} layers {len(stack.parent)}",
+        f"# facies {' '.join(stack.parent.layers)}",
+    ]
+    n_grid = grid.n_nodes
+    for j in range(len(stack.parent)):
+        lines.append(" ".join(_fmt(v) for v in stack.thickness[j, :n_grid]))
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -380,21 +380,24 @@ def _tcd_rows(path):
     return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
 
 
+def _copy_chain(workspace, tmp_path, samples=None, configurations=None):
+    """The workspace's chain files, each passed through an edit, in a new
+    output directory; returns (that directory, a config naming it)."""
+    root, cfg = workspace
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, edit in (("samples.csv", samples),
+                       ("configurations.csv", configurations)):
+        text = (root / "out" / name).read_text()
+        (out / name).write_text(edit(text) if edit else text)
+    cfg2 = tmp_path / "run.cfg"
+    cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
+                                            f"output_dir = {out}"))
+    return out, cfg2
+
+
 class TestMalformedChainFiles:
     """Chain files that do not parse exit 2 with ``path:line``, not a traceback."""
-
-    def _copy_chain(self, workspace, tmp_path, samples=None, configurations=None):
-        root, cfg = workspace
-        out = tmp_path / "out"
-        out.mkdir()
-        for name, edit in (("samples.csv", samples),
-                           ("configurations.csv", configurations)):
-            text = (root / "out" / name).read_text()
-            (out / name).write_text(edit(text) if edit else text)
-        cfg2 = tmp_path / "run.cfg"
-        cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
-                                                f"output_dir = {out}"))
-        return out, cfg2
 
     def _exit_2_at(self, cfg, where, capsys):
         assert main(["simulate", "--config", str(cfg), "--seed", "2",
@@ -409,7 +412,7 @@ class TestMalformedChainFiles:
             lines[2] = lines[2].rsplit(",", 1)[0] + ",high"
             return "\n".join(lines) + "\n"
 
-        out, cfg = self._copy_chain(workspace, tmp_path, samples=edit)
+        out, cfg = _copy_chain(workspace, tmp_path, samples=edit)
         self._exit_2_at(cfg, f"{out / 'samples.csv'}:3:", capsys)
 
     def test_non_integer_iteration(self, workspace, tmp_path, capsys):
@@ -418,15 +421,55 @@ class TestMalformedChainFiles:
             lines[4] = "x" + lines[4]
             return "\n".join(lines) + "\n"
 
-        out, cfg = self._copy_chain(workspace, tmp_path, configurations=edit)
+        out, cfg = _copy_chain(workspace, tmp_path, configurations=edit)
         self._exit_2_at(cfg, f"{out / 'configurations.csv'}:5:", capsys)
 
     def test_group_without_all_columns(self, workspace, tmp_path, capsys):
         def edit(text):
             return text.replace("mu_Blue", "mean_Blue", 1)
 
-        out, cfg = self._copy_chain(workspace, tmp_path, samples=edit)
+        out, cfg = _copy_chain(workspace, tmp_path, samples=edit)
         self._exit_2_at(cfg, f"{out / 'samples.csv'}:1:", capsys)
+
+
+class TestChainUnlikeTheRecords:
+    """Configurations that do not reproduce the borehole records exit 3."""
+
+    @staticmethod
+    def _edit_rows(borehole, layer, edit):
+        """Apply ``edit`` to every configurations.csv row of one borehole layer;
+        a row it maps to None is dropped."""
+        def run(text):
+            lines = text.splitlines()
+            out = lines[:1]
+            for line in lines[1:]:
+                it, bid, j, z = line.split(",")
+                if bid == borehole and int(j) == layer:
+                    line = edit(line)
+                if line is not None:
+                    out.append(line)
+            return "\n".join(out) + "\n"
+        return run
+
+    def test_missing_layer_rows(self, workspace, tmp_path, capsys):
+        _, cfg = _copy_chain(workspace, tmp_path,
+                             configurations=self._edit_rows("bh1", 14, lambda ln: None))
+        assert main(["simulate", "--config", str(cfg), "--seed", "2",
+                     "--mode", "conditional"]) == 3
+        assert main(["tcd", "--config", str(cfg), "--facies", "Blue"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("borehole bh1 has 14 layers") == 2 and "Traceback" not in err
+
+    def test_edited_thickness(self, workspace, tmp_path, capsys):
+        def edit(line):
+            return line.rsplit(",", 1)[0] + ",7.5"
+
+        _, cfg = _copy_chain(workspace, tmp_path,
+                             configurations=self._edit_rows("bh1", 0, edit))
+        for selector in ("most-likely", "1"):
+            assert main(["simulate", "--config", str(cfg), "--seed", "2",
+                         "--mode", "conditional", "--selector", selector]) == 3
+        assert "records of borehole(s) bh1" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -1,12 +1,14 @@
 """Field simulation: grids, stacking, conditional honoring, cross-sections."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from stratasim import gaussnum
+from stratasim import fieldsim, gaussnum, likelihood
+from stratasim.config import RunConfig
 from stratasim.core import AugmentedConfiguration, ParentSequence
 from stratasim.errors import CapacityError, ParameterError
 from stratasim.fieldsim import (
@@ -18,7 +20,9 @@ from stratasim.fieldsim import (
     simulate_conditional,
     simulate_unconditional,
 )
+from stratasim.gaussnum import MaternSpec
 from stratasim.likelihood import LayerParams, thickness_moments
+from stratasim.synthgen import DEFAULT_PARENT, DEFAULT_TRUE_PARAMS
 
 PARENT = ParentSequence(("Green", "Blue", "Green"))
 PARAMS = {
@@ -108,9 +112,94 @@ class TestUnconditional:
         assert np.array_equal(surf[0], np.full(36, 2.0))
 
     def test_budget(self):
-        grid = SimGrid.regular((0, 0), 1.0, gaussnum.CHOLESKY_BUDGET + 1, 1)
+        # dense fields only: a grid this size goes through the lattice path
+        grid = SimGrid.transect((0, 0), (1, 0), gaussnum.CHOLESKY_BUDGET + 1)
         with pytest.raises(CapacityError):
             simulate_unconditional(grid, PARAMS, PARENT, seed=0)
+
+
+def _spy_kernels(monkeypatch):
+    """Record each spec given to ``lattice_kernel`` and ``field_kernel``,
+    with whether the lattice found an embedding."""
+    calls = []
+    lattice, dense = gaussnum.lattice_kernel, gaussnum.field_kernel
+
+    def lattice_spy(nx, ny, spacing, spec):
+        out = lattice(nx, ny, spacing, spec)
+        calls.append(("lattice" if out is not None else "no embedding", spec))
+        return out
+
+    def dense_spy(points, spec, cond_points=None):
+        calls.append(("dense", spec))
+        return dense(points, spec, cond_points)
+
+    monkeypatch.setattr(gaussnum, "lattice_kernel", lattice_spy)
+    monkeypatch.setattr(gaussnum, "field_kernel", dense_spy)
+    return calls
+
+
+class TestLatticePath:
+    """Which kernel each unconditional field comes from."""
+
+    def test_transect_goes_dense(self, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        simulate_unconditional(SimGrid.transect((0, 0), (50, 0), 26), PARAMS, PARENT, 0)
+        assert calls == [("dense", PARAMS["Green"].matern_spec)]
+
+    def test_small_grid_with_long_range_goes_dense(self, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        params = {f: replace(p, alpha=20.0) for f, p in PARAMS.items()}
+        simulate_unconditional(SimGrid.regular((0, 0), 2.0, 16, 16), params, PARENT, 0)
+        spec = params["Green"].matern_spec
+        assert calls == [("no embedding", spec), ("dense", spec)]
+
+    def test_grid_beyond_the_cholesky_budget_goes_lattice(self, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        grid = SimGrid.regular((0, 0), 1.0, 141, 142)
+        assert grid.n_nodes > gaussnum.CHOLESKY_BUDGET
+        params = {f: replace(p, alpha=2.0) for f, p in PARAMS.items()}
+        stack = simulate_unconditional(grid, params, PARENT, 0)
+        assert calls == [("lattice", params["Green"].matern_spec)]
+        assert stack.thickness.shape == (3, grid.n_nodes)
+
+    # The benchmark's 16x16 and 50x50 grids at 2 km, the config's default
+    # 101x101 at 1 km and the CLI tests' 12x12 at 9 km, with the synthetic
+    # truth's specs: fixed-seed unconditional outputs differ from the dense
+    # path's only where the lattice is taken.
+    @pytest.mark.parametrize("nx, spacing, alpha, path", [
+        (16, 2.0, 10.0, "dense"),
+        (16, 2.0, 20.0, "dense"),
+        (50, 2.0, 10.0, "lattice"),
+        (50, 2.0, 20.0, "lattice"),
+        (101, 1.0, 10.0, "lattice"),
+        (101, 1.0, 20.0, "lattice"),
+        (12, 9.0, 10.0, "lattice"),
+        (12, 9.0, 20.0, "dense"),
+    ])
+    def test_recorded_paths(self, nx, spacing, alpha, path):
+        kernel = gaussnum.lattice_kernel(nx, nx, spacing, MaternSpec(1.5, alpha))
+        assert (kernel is not None) == (path == "lattice")
+
+    @pytest.mark.parametrize("seed", [2, 11])
+    def test_per_layer_streams(self, seed):
+        # layers drawn in spec order from shared kernels give the bits of a
+        # per-layer loop in parent order
+        grid = SimGrid.regular((0, 0), 2.0, 50, 50)
+        got = simulate_unconditional(grid, DEFAULT_TRUE_PARAMS, DEFAULT_PARENT, seed)
+        want = oracles.simulate_unconditional(
+            grid, DEFAULT_TRUE_PARAMS, DEFAULT_PARENT, seed
+        )
+        assert np.array_equal(got.thickness, want)
+
+    def test_default_grid(self, monkeypatch):
+        # the config's default 101 x 101 grid: no dense factor is built
+        calls = _spy_kernels(monkeypatch)
+        cfg = RunConfig()
+        grid = SimGrid.regular(cfg.grid_origin, cfg.grid_spacing, cfg.grid_nx, cfg.grid_ny)
+        stack = simulate_unconditional(grid, DEFAULT_TRUE_PARAMS, DEFAULT_PARENT, 4)
+        assert [path for path, _ in calls] == ["lattice", "lattice"]
+        assert stack.thickness.shape == (len(DEFAULT_PARENT), 101 * 101)
+        assert np.all(np.isfinite(stack.thickness))
 
 
 def _conditioning_setup():
@@ -207,11 +296,23 @@ def _alt_conditioning():
 
 
 class TestOneFactorPerSpec:
-    """Layers visited in spec order, one factor per spec: the same bits as a
-    per-layer loop in parent order that rebuilds every factor."""
+    """Layers visited in spec order, one kernel per spec: the same bits as a
+    per-layer loop in parent order that rebuilds every kernel."""
 
     GRID = SimGrid.regular((0, 0), 2.0, 8, 8)
     TRANSECT = SimGrid.transect((0, 0), (16, 12), 25)
+    # on GRID, only Black's short-range exponential spec has an embedding
+    LATTICE_SPEC = ALT_PARAMS["Black"].matern_spec
+    DENSE_SPECS = [ALT_PARAMS["Green"].matern_spec, ALT_PARAMS["Blue"].matern_spec]
+
+    def test_grid_paths(self, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
+        assert calls == [
+            ("lattice", self.LATTICE_SPEC),
+            ("no embedding", self.DENSE_SPECS[0]), ("dense", self.DENSE_SPECS[0]),
+            ("no embedding", self.DENSE_SPECS[1]), ("dense", self.DENSE_SPECS[1]),
+        ]
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_unconditional_equals_per_layer_loop(self, seed):
@@ -219,6 +320,17 @@ class TestOneFactorPerSpec:
             got = simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
             want = oracles.simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
             assert np.array_equal(got.thickness, want)
+        # the dense specs' layers equal a fresh dense factor per layer
+        dense = [j for j, f in enumerate(ALT_PARENT.layers)
+                 if ALT_PARAMS[f].matern_spec in self.DENSE_SPECS]
+        assert len(dense) == 5
+        got = simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, seed)
+        for j in dense:
+            prm = ALT_PARAMS[ALT_PARENT.layers[j]]
+            w = oracles.sample_gaussian_field(
+                self.GRID.points(), prm.matern_spec, fieldsim._layer_rng(seed, j)
+            )
+            assert np.array_equal(got.thickness[j], likelihood.thickness_from_latent(w, prm))
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_conditional_equals_per_layer_loop(self, seed):
@@ -252,6 +364,10 @@ class TestOneFactorPerSpec:
         simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
         assert {n for n, _ in built} == {self.GRID.n_nodes}
         specs = [spec for _, spec in built]
+        assert specs == self.DENSE_SPECS == self._in_spec_order(specs)
+        built.clear()
+        simulate_unconditional(self.TRANSECT, ALT_PARAMS, ALT_PARENT, 3)
+        specs = [spec for _, spec in built]
         assert specs == self._in_spec_order(specs) and len(specs) == 3
 
     def test_conditional_one_covariance_per_spec(self, monkeypatch):
@@ -271,15 +387,18 @@ class TestOneFactorPerSpec:
 
     def test_one_kernel_alive_at_a_time(self, monkeypatch):
         kernels = []
-        real = gaussnum.field_kernel
 
-        def spy(*args, **kwargs):
-            assert all(ref() is None for ref in kernels)  # the last one was freed
-            out = real(*args, **kwargs)
-            kernels.append(weakref.ref(out))
-            return out
+        def spying(real):
+            def spy(*args, **kwargs):
+                assert all(ref() is None for ref in kernels)  # the last one was freed
+                out = real(*args, **kwargs)
+                if out is not None:
+                    kernels.append(weakref.ref(out))
+                return out
+            return spy
 
-        monkeypatch.setattr(gaussnum, "field_kernel", spy)
+        for name in ("field_kernel", "lattice_kernel"):
+            monkeypatch.setattr(gaussnum, name, spying(getattr(gaussnum, name)))
         locs, configs = _alt_conditioning()
         simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
         simulate_conditional(self.GRID, ALT_PARAMS, ALT_PARENT, configs, locs, 3)

@@ -21,6 +21,7 @@ from stratasim.gaussnum import (
     cov_matrix,
     draw_field,
     field_kernel,
+    lattice_kernel,
     matern,
     mvn_cdf_below,
     mvn_logpdf,
@@ -45,6 +46,15 @@ class TestMatern:
         assert matern(1.0, MaternSpec(2.5, 1.0)) == pytest.approx(
             (1 + 1 + 1 / 3) * np.exp(-1.0), abs=1e-12
         )
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_in_place_evaluation_is_bit_identical(self, nu):
+        spec = MaternSpec(nu, 3.7)
+        h = np.random.default_rng(4).uniform(0.0, 40.0, (30, 50))
+        got = matern(h, spec)
+        assert got.tobytes() == oracles.matern(h, spec).tobytes()
+        assert matern(h[0, 0], spec) == oracles.matern(h[0, 0], spec)
+        assert h.tobytes() == np.random.default_rng(4).uniform(0.0, 40.0, (30, 50)).tobytes()
 
     def test_invalid_nu_and_alpha(self):
         with pytest.raises(ParameterError):
@@ -431,3 +441,62 @@ class TestSampleGaussianField:
             gamma = 0.5 * np.mean((draws[:, lag:] - draws[:, :-lag]) ** 2)
             want = 1.0 - matern(h, spec)
             assert gamma == pytest.approx(want, rel=0.10)
+
+
+class TestLatticeKernel:
+    """Circulant-embedding draws on a regular grid."""
+
+    @staticmethod
+    def _points(nx, ny, spacing):
+        gx, gy = np.meshgrid(spacing * np.arange(nx), spacing * np.arange(ny),
+                             indexing="ij")
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_draw_covariance_is_the_matern_covariance(self, nu):
+        # non-square, so swapped axes or a wrong ravel order would show
+        spec = MaternSpec(nu, 0.5)
+        kernel = lattice_kernel(7, 11, 1.0, spec)
+        assert kernel is not None
+        got = oracles.lattice_draw_covariance(kernel)
+        want = cov_matrix(self._points(7, 11, 1.0), spec)
+        assert np.max(np.abs(got - want)) <= gaussnum._JITTER_MAX
+
+    def test_long_range_on_a_small_grid_has_no_embedding(self):
+        # the size rule stops at 60 x 60 points, where the clipped negative
+        # eigenvalues of this range exceed the contract
+        assert lattice_kernel(16, 16, 2.0, MaternSpec(1.5, 20.0)) is None
+
+    def test_embedding_size_rule(self):
+        # 50 x 50: starts at next_fast_len(98) = 100 per axis, doubles while
+        # M log2 M <= 2500^2, so 800 x 800 is never tried
+        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 10.0)).shape == (200, 200)
+        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 20.0)).shape == (400, 400)
+        assert lattice_kernel(50, 50, 0.1, MaternSpec(1.5, 20.0)) is None
+
+    def test_same_rng_same_bits(self):
+        kernel = lattice_kernel(9, 13, 1.0, MaternSpec(1.5, 1.0))
+        a = draw_field(kernel, np.random.default_rng(3))
+        b = draw_field(kernel, np.random.default_rng(3))
+        assert a.shape == (9 * 13,) and np.array_equal(a, b)
+
+    def test_variogram_matches_model(self):
+        # per-draw semivariances are independent across draws, so their mean
+        # lies within 4 standard errors of 1 - rho(h) unless the law is wrong
+        spec = MaternSpec(1.5, 3.0)
+        kernel = lattice_kernel(24, 24, 1.0, spec)
+        assert kernel is not None
+        rng = np.random.default_rng(12)
+        draws = np.array([draw_field(kernel, rng).reshape(24, 24) for _ in range(200)])
+        lags = {  # (dx, dy) in nodes -> per-draw semivariance
+            (1, 0): draws[:, 1:, :] - draws[:, :-1, :],
+            (0, 3): draws[:, :, 3:] - draws[:, :, :-3],
+            (6, 0): draws[:, 6:, :] - draws[:, :-6, :],
+            (2, 2): draws[:, 2:, 2:] - draws[:, :-2, :-2],
+        }
+        for (dx, dy), diff in lags.items():
+            gamma = 0.5 * np.mean(diff.reshape(len(draws), -1) ** 2, axis=1)
+            se = gamma.std(ddof=1) / np.sqrt(len(gamma))
+            want = 1.0 - matern(np.hypot(dx, dy), spec)
+            assert se < 0.03
+            assert abs(gamma.mean() - want) <= 4.0 * se, (dx, dy)

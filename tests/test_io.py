@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from stratasim import io
 from stratasim.core import (
     AugmentedConfiguration,
@@ -11,6 +12,7 @@ from stratasim.core import (
     snap_thickness,
 )
 from stratasim.errors import DatasetError
+from stratasim.fieldsim import SimGrid, simulate_conditional, simulate_unconditional
 from stratasim.likelihood import LayerParams
 from stratasim.mcmc import PosteriorSample
 
@@ -196,3 +198,50 @@ class TestChainFiles:
         lines = (tmp_path / "diag.csv").read_text().splitlines()
         assert lines[1] == "parameter,p,3,10,0"
         assert lines[2] == "move,split,1,2,7"
+
+
+class TestGridWriters:
+    """raster.csv and surfaces.txt are byte for byte the per-value writers'."""
+
+    PARAMS = {
+        "Green": LayerParams(p=0.8, mu=1.0, beta=1.0, alpha=10.0),
+        "Red": LayerParams(p=0.5, mu=2.0, beta=0.7, alpha=4.0),
+        "Blue": LayerParams(p=0.3, mu=1.0, beta=1.3, alpha=10.0, nu=0.5),
+    }
+
+    def _same_files(self, tmp_path, stack):
+        for name, new, old in (("raster.csv", io.save_raster, oracles.save_raster),
+                               ("surfaces.txt", io.save_stack_grid,
+                                oracles.save_stack_grid)):
+            new(tmp_path / f"new_{name}", stack)
+            old(tmp_path / f"old_{name}", stack)
+            want = (tmp_path / f"old_{name}").read_bytes()
+            assert (tmp_path / f"new_{name}").read_bytes() == want
+            new(tmp_path / f"shared_{name}", stack, io.thickness_text(stack))
+            assert (tmp_path / f"shared_{name}").read_bytes() == want
+
+    def test_unconditional_grid(self, tmp_path):
+        grid = SimGrid.regular((0.1, -3.7), 0.7, 9, 6)
+        self._same_files(tmp_path, simulate_unconditional(grid, self.PARAMS, PARENT, 1))
+
+    def test_appended_borehole_on_a_node(self, tmp_path):
+        # both boreholes are within half a cell of node (2, 2); the far one is
+        # appended, and its point is written to neither file
+        grid = SimGrid.regular((0, 0), 2.0, 4, 4)
+        configs = [
+            AugmentedConfiguration("near", np.array([1.0, 0.0, 0.5])),
+            AugmentedConfiguration("far", np.array([0.4, 0.7, 0.0])),
+        ]
+        stack = simulate_conditional(
+            grid, self.PARAMS, PARENT, configs, [[2.0, 2.1], [2.6, 2.0]], 3
+        )
+        assert stack.points.shape[0] == grid.n_nodes + 1
+        self._same_files(tmp_path, stack)
+
+    def test_transect_surfaces(self, tmp_path):
+        stack = simulate_unconditional(
+            SimGrid.transect((0, 0), (7, 3), 11), self.PARAMS, PARENT, 2
+        )
+        io.save_stack_grid(tmp_path / "new.txt", stack)
+        oracles.save_stack_grid(tmp_path / "old.txt", stack)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
