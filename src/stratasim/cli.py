@@ -40,27 +40,9 @@ def _load_inputs(cfg: RunConfig):
     return io.load_parent(cfg.parent), io.load_boreholes(cfg.boreholes)
 
 
-def _init_table(parent, boreholes, cfg: RunConfig) -> str:
-    model = mcmc.ThicknessModel(
-        boreholes, parent, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies,
-        cdf_tol=cfg.cdf_tol,
-    )
-    params = model.empirical_init(cfg.alpha_init)
-    lines = [f"{'group':<12}{'p0':>8}{'tau0':>8}{'mu0':>8}{'alpha0':>8}"]
-    for g in model.groups:
-        prm = params[g]
-        lines.append(
-            f"{g:<12}{prm.p:>8.3f}{prm.tau:>8.3f}{prm.mu:>8.3f}{prm.alpha:>8.3f}"
-        )
-    return "\n".join(lines)
-
-
 def cmd_fit(args) -> int:
     cfg = RunConfig.from_file(args.config)
     parent, boreholes = _load_inputs(cfg)
-    if args.dry_run:
-        print(_init_table(parent, boreholes, cfg))
-        return 0
     samples, diagnostics = mcmc.run_chain(
         boreholes, parent, cfg.priors, cfg.proposals,
         n_iter=cfg.n_iter, burn_in=cfg.burn_in, thin=cfg.thin,
@@ -99,9 +81,9 @@ def _make_grid(cfg: RunConfig, boreholes=None) -> fieldsim.SimGrid:
 def _load_chain(out: Path, parent):
     """Groups, sample rows and configurations of the fit in ``out``.
 
-    Missing files, a sample without configurations, or a configuration
-    whose length is not the parent's raise ``IncompatibleSequenceError``
-    (exit 3).
+    Missing files, a samples file without rows, a sample without
+    configurations, or a configuration whose length is not the parent's
+    raise ``IncompatibleSequenceError`` (exit 3).
     """
     samples_path = out / "samples.csv"
     configs_path = out / "configurations.csv"
@@ -110,6 +92,10 @@ def _load_chain(out: Path, parent):
             f"chain input needs {samples_path} and {configs_path} (run fit first)"
         )
     groups, samples_rows = io.load_samples(samples_path)
+    if not samples_rows:
+        raise IncompatibleSequenceError(
+            f"{samples_path} holds no posterior samples (is burn_in >= n_iter?)"
+        )
     config_rows = io.load_configurations(configs_path)
     missing = [it for it, _, _ in samples_rows if it not in config_rows]
     if missing:
@@ -279,11 +265,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Build the model, which checks compatibility, and print its initialization."""
     cfg = RunConfig.from_file(args.config)
     parent, boreholes = _load_inputs(cfg)
-    table = _init_table(parent, boreholes, cfg)
+    model = mcmc.ThicknessModel(
+        boreholes, parent, nu=cfg.nu, tie_by_facies=cfg.tie_by_facies,
+        cdf_tol=cfg.cdf_tol,
+    )
+    params = model.empirical_init(cfg.alpha_init)
     print(f"{len(boreholes)} boreholes compatible with the {len(parent)}-layer parent")
-    print(table)
+    print(f"{'group':<12}{'p0':>8}{'tau0':>8}{'mu0':>8}{'alpha0':>8}")
+    for g in model.groups:
+        prm = params[g]
+        print(f"{g:<12}{prm.p:>8.3f}{prm.tau:>8.3f}{prm.mu:>8.3f}{prm.alpha:>8.3f}")
     return 0
 
 
@@ -297,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="run the MCMC and write chain files")
     p_fit.add_argument("--config", required=True)
     p_fit.add_argument("--seed", required=True, type=int)
-    p_fit.add_argument("--dry-run", action="store_true",
-                       help="validate inputs and print the initialization table")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="simulate thickness fields")

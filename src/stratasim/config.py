@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DatasetError
-from .likelihood import LayerParams
+from .likelihood import PARAM_KINDS, LayerParams
 from .mcmc import PriorSpec, ProposalSpec
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -65,9 +66,12 @@ class RunConfig:
                 return default
             ln, value = raw.pop(key)
             try:
-                return conv(value)
+                out = conv(value)
             except (ValueError, KeyError) as exc:
                 raise DatasetError(f"{path}:{ln}: bad value for {key}: {value!r}") from exc
+            if isinstance(out, float) and not math.isfinite(out):
+                raise DatasetError(f"{path}:{ln}: {key} must be finite, got {value!r}")
+            return out
 
         def boolean(v):
             return _BOOL[v.lower()]
@@ -122,23 +126,17 @@ class RunConfig:
         # simulation parameters: param.<facies>.<name> = value
         sim: dict[str, dict[str, float]] = {}
         for key in [k for k in raw if k.startswith("param.")]:
-            ln, value = raw.pop(key)
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in ("p", "mu", "beta", "alpha"):
-                raise DatasetError(f"{path}:{ln}: bad parameter key {key!r}")
-            try:
-                sim.setdefault(parts[1], {})[parts[2]] = float(value)
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{ln}: bad value for {key}") from exc
+            if len(parts) != 3 or parts[2] not in PARAM_KINDS:
+                raise DatasetError(f"{path}:{raw[key][0]}: bad parameter key {key!r}")
+            sim.setdefault(parts[1], {})[parts[2]] = take(key, float, None)
         for facies, vals in sim.items():
-            missing = {"p", "mu", "beta", "alpha"} - set(vals)
+            missing = set(PARAM_KINDS) - set(vals)
             if missing:
                 raise DatasetError(
                     f"{path}: param.{facies}.* is missing {sorted(missing)}"
                 )
-            cfg.sim_params[facies] = LayerParams(
-                vals["p"], vals["mu"], vals["beta"], vals["alpha"], cfg.nu
-            )
+            cfg.sim_params[facies] = LayerParams(**vals, nu=cfg.nu)
 
         if raw:
             key = next(iter(raw))

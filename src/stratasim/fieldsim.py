@@ -246,9 +246,7 @@ def simulate_conditional(
             z_j = z_cond[j]
             pos = z_j > 0
             w_known = np.empty(len(locs))
-            w_known[pos] = (
-                likelihood.phi_inverse(z_j[pos], prm.mu, prm.beta) + prm.tau
-            )
+            w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
             if np.any(~pos):
                 if bh_cov is None:
                     bh_cov = gaussnum.cov_matrix(bh_pts, spec)

@@ -159,15 +159,16 @@ def mvn_logpdf_chol(resid: np.ndarray, chol: np.ndarray, logdet: float) -> float
 _SOBOL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 # ``mvn_cdf_below``: largest dimension, random shifts, points per shift in the
-# first round, and the cap on points per shift that later rounds double up to.
+# first round and in the last: rounds double the points until the error meets
+# the tolerance or a round has ``_MAX_POINTS`` per shift (128 * 2^9).
 _DIM_CAP = 100
 _N_SHIFTS = 10
 _FIRST_ROUND = 128
-_MAX_POINTS = 50_000
+_MAX_POINTS = 65_536
 
 # dim -> (shifts, first-round point set).  Both are pure functions of the
-# dimension, so one copy serves every call in the process.  Later rounds are
-# not kept: they are rare and much larger.
+# dimension, so one copy serves every call in the process.  Later rounds keep
+# only their unshifted Sobol points, in ``_SOBOL_CACHE``.
 _FIRST_ROUND_SETS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 

@@ -20,8 +20,11 @@ from .core import (
 )
 from .errors import DatasetError, ParameterError
 from .fieldsim import LayerStack
-from .likelihood import LayerParams
+from .likelihood import PARAM_KINDS, LayerParams
 from .mcmc import PosteriorSample
+
+# The per-group columns of samples.csv: the sampled parameters, then nu.
+_SAMPLE_FIELDS = (*PARAM_KINDS, "nu")
 
 BOREHOLE_HEADER = [
     "borehole_id", "x_km", "y_km", "ground_level_m",
@@ -152,15 +155,13 @@ def save_samples(path, samples: list[PosteriorSample], groups: list[str]):
         writer = csv.writer(fh)
         header = ["iteration"]
         for g in groups:
-            header += [f"p_{g}", f"mu_{g}", f"beta_{g}", f"alpha_{g}", f"nu_{g}"]
+            header += [f"{name}_{g}" for name in _SAMPLE_FIELDS]
         header.append("loglik")
         writer.writerow(header)
         for s in samples:
             row = [s.iteration]
             for g in groups:
-                prm = s.params[g]
-                row += [_fmt(prm.p), _fmt(prm.mu), _fmt(prm.beta),
-                        _fmt(prm.alpha), _fmt(prm.nu)]
+                row += [_fmt(getattr(s.params[g], name)) for name in _SAMPLE_FIELDS]
             row.append(_fmt(s.loglik))
             writer.writerow(row)
 
@@ -182,18 +183,18 @@ def load_samples(path):
         reader = csv.DictReader(fh)
         if not reader.fieldnames or reader.fieldnames[0] != "iteration":
             raise DatasetError(f"{path}: not a samples file")
-        groups = [c[2:] for c in reader.fieldnames if c.startswith("p_")]
+        # each group's first column, p_<group>, names it
+        first = f"{_SAMPLE_FIELDS[0]}_"
+        groups = [c[len(first):] for c in reader.fieldnames if c.startswith(first)]
         _check_columns(path, reader.fieldnames, [
-            f"{name}_{g}" for g in groups for name in ("mu", "beta", "alpha", "nu")
+            f"{name}_{g}" for g in groups for name in _SAMPLE_FIELDS[1:]
         ] + ["loglik"])
         rows = []
         for ln, row in enumerate(reader, start=2):
             try:
                 params = {
                     g: LayerParams(
-                        float(row[f"p_{g}"]), float(row[f"mu_{g}"]),
-                        float(row[f"beta_{g}"]), float(row[f"alpha_{g}"]),
-                        float(row[f"nu_{g}"]),
+                        **{name: float(row[f"{name}_{g}"]) for name in _SAMPLE_FIELDS}
                     )
                     for g in groups
                 }
@@ -254,7 +255,7 @@ def save_summary(path, samples: list[PosteriorSample], groups: list[str]):
         writer = csv.writer(fh)
         writer.writerow(["group", "parameter", "median", "q05", "q95"])
         for g in groups:
-            for which in ("p", "mu", "beta", "alpha"):
+            for which in PARAM_KINDS:
                 vals = np.array([getattr(s.params[g], which) for s in samples])
                 writer.writerow(
                     [g, which, _fmt(np.median(vals)),

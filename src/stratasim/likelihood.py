@@ -1,7 +1,10 @@
-"""Thickness transform, per-layer log-likelihood, moments, TCD.
+"""Layer parameters, thickness transform, per-layer log-likelihood, TCD.
 
 Thickness of one layer is z = mu * (w - tau)^beta for a latent standardized
 Gaussian w above the threshold tau = Phi^-1(1 - p), and exactly zero below.
+``LayerParams`` holds (p, mu, beta, alpha) and their supports;
+``thickness_from_latent`` and ``latent_from_thickness`` are the transform and
+its inverse.
 The per-layer likelihood combines a Gaussian density over the positive-site
 latents, the transform Jacobian, and the orthant probability that the
 zero-site latents sit below tau given the positive ones.  The complete-data
@@ -28,12 +31,22 @@ from .gaussnum import MaternSpec
 
 BETA_SUPPORT = (0.25, 4.0)
 
+# The sampled ``LayerParams`` fields, in the sampler's sweep order.  Chain
+# files, config keys and proposal widths take their names from here.
+PARAM_KINDS = ("p", "mu", "beta", "alpha")
+
 _LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Parameters governing one layer's thickness field."""
+    """Parameters governing one layer's thickness field.
+
+    This is the one statement of each parameter's support: p in (0, 1),
+    mu > 0, beta in ``BETA_SUPPORT``, and alpha > 0 and nu through
+    ``MaternSpec``.  A value outside it raises ``ParameterError``, so a
+    ``LayerParams`` is always valid for the transform functions below.
+    """
 
     p: float
     mu: float
@@ -80,41 +93,27 @@ class LayerData:
         )
 
 
-def _check_transform_params(mu, beta):
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if not BETA_SUPPORT[0] < beta < BETA_SUPPORT[1]:
-        raise ParameterError(f"beta must lie in {BETA_SUPPORT}, got {beta}")
-
-
-def phi_transform(w, mu, beta):
-    """z = mu * w^beta for w >= 0."""
-    _check_transform_params(mu, beta)
-    return mu * np.asarray(w, dtype=float) ** beta
-
-
 def thickness_from_latent(w, params: LayerParams) -> np.ndarray:
     """Thickness mu (w - tau)^beta where the latent w exceeds tau, else 0."""
     w = np.asarray(w, dtype=float)
     above = w > params.tau
     z = np.zeros_like(w)
     if np.any(above):
-        z[above] = phi_transform(w[above] - params.tau, params.mu, params.beta)
+        z[above] = params.mu * (w[above] - params.tau) ** params.beta
     return z
 
 
-def phi_inverse(z, mu, beta):
-    """w = (z / mu)^(1/beta) for z >= 0."""
-    _check_transform_params(mu, beta)
-    return (np.asarray(z, dtype=float) / mu) ** (1.0 / beta)
+def latent_from_thickness(z, params: LayerParams):
+    """Latent w = (z / mu)^(1/beta) + tau of a thickness z >= 0."""
+    return (np.asarray(z, dtype=float) / params.mu) ** (1.0 / params.beta) + params.tau
 
 
-def jacobian_inv(z, mu, beta):
+def jacobian_inv(z, params: LayerParams):
     """d/dz (z/mu)^(1/beta) = (1 / (mu beta)) (z/mu)^(1/beta - 1), z > 0."""
-    _check_transform_params(mu, beta)
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0):
         raise ParameterError("jacobian is evaluated at positive thickness only")
+    mu, beta = params.mu, params.beta
     return (z / mu) ** (1.0 / beta - 1.0) / (mu * beta)
 
 
@@ -174,9 +173,9 @@ def kernel_loglik(
         )
         return float(np.log(max(prob, _LOG_FLOOR)))
 
-    w = phi_inverse(pos_z, params.mu, params.beta) + tau
+    w = latent_from_thickness(pos_z, params)
     total = gaussnum.mvn_logpdf_chol(w, kernel.chol, kernel.logdet)
-    total += float(np.sum(np.log(jacobian_inv(pos_z, params.mu, params.beta))))
+    total += float(np.sum(np.log(jacobian_inv(pos_z, params))))
 
     if n_zero > 0:
         m, v = gaussnum.condition_chol(kernel.chol, kernel.s_un, kernel.s_uu, w)
@@ -192,7 +191,7 @@ def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) ->
     """Complete-data log-likelihood of a single layer.
 
     Positive sites contribute the Gaussian log-density of
-    w = phi_inverse(z) + tau plus log-Jacobian terms; zero sites contribute
+    w = latent_from_thickness(z) plus log-Jacobian terms; zero sites contribute
     the log orthant probability below tau of their conditional (kriged)
     Gaussian law.  Orthant probabilities are floored at 1e-300 before log.
     This builds the layer's ``LayerKernel`` and evaluates it once; callers
@@ -232,8 +231,7 @@ def tcd(z, params: LayerParams):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ParameterError("thickness must be non-negative")
-    tau = params.tau
-    val = (ndtr(tau + (z / params.mu) ** (1.0 / params.beta)) - ndtr(tau)) / params.p
+    val = (ndtr(latent_from_thickness(z, params)) - ndtr(params.tau)) / params.p
     val = np.clip(val, 0.0, 1.0)
     return val if val.ndim else float(val)
 

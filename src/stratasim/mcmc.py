@@ -45,14 +45,9 @@ from .errors import (
     StrataError,
 )
 from .gaussnum import MaternSpec
-from .likelihood import LayerParams, init_from_empirical
+from .likelihood import PARAM_KINDS, LayerParams, init_from_empirical
 
 log = logging.getLogger(__name__)
-
-PARAM_KINDS = ("p", "mu", "beta", "alpha")
-
-P_SUPPORT = (0.0, 1.0)
-BETA_SUPPORT = likelihood.BETA_SUPPORT
 
 
 @dataclass(frozen=True)
@@ -91,15 +86,14 @@ class ProposalSpec:
     move_probs: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
 
     def __post_init__(self):
-        if min(self.d_mu, self.d_beta, self.d_p, self.d_alpha) <= 0:
+        if not all(self.width(which) > 0 for which in PARAM_KINDS):
             raise ParameterError("proposal widths must be positive")
         if abs(sum(self.move_probs) - 1.0) > 1e-12 or min(self.move_probs) < 0:
             raise ParameterError("move probabilities must be non-negative and sum to 1")
 
     def width(self, which: str) -> float:
-        return {"p": self.d_p, "mu": self.d_mu, "beta": self.d_beta, "alpha": self.d_alpha}[
-            which
-        ]
+        """Half-width ``d_<which>`` of one kind in ``PARAM_KINDS``."""
+        return getattr(self, f"d_{which}")
 
 
 def pc_log_prior(alpha: float, mu: float, spec: PriorSpec) -> float:
@@ -111,14 +105,6 @@ def pc_log_prior(alpha: float, mu: float, spec: PriorSpec) -> float:
         math.log(la) - 2.0 * math.log(alpha) - la / alpha
         + math.log(lm) - lm * mu
     )
-
-
-def _in_support(which: str, value: float) -> bool:
-    if which == "p":
-        return P_SUPPORT[0] < value < P_SUPPORT[1]
-    if which == "beta":
-        return BETA_SUPPORT[0] < value < BETA_SUPPORT[1]
-    return value > 0  # mu, alpha
 
 
 def metropolis_accept(log_ratio: float, rng) -> bool:
@@ -287,13 +273,18 @@ def update_parameter(
     priors: PriorSpec,
     rng,
 ) -> bool:
-    """One random-walk Metropolis update of one parameter of one group."""
+    """One random-walk Metropolis update of one parameter of one group.
+
+    A proposal outside the parameter's support, which ``LayerParams``
+    rejects, is rejected before any scoring and draws no accept uniform.
+    """
     cur = state.params[group]
     cur_val = getattr(cur, which)
     new_val = cur_val + rng.uniform(-proposals.width(which), proposals.width(which))
-    if not _in_support(which, new_val):
+    try:
+        cand = replace(cur, **{which: float(new_val)})
+    except ParameterError:
         return False
-    cand = replace(cur, **{which: float(new_val)})
     log_prior_ratio = 0.0
     if which in ("mu", "alpha"):
         log_prior_ratio = pc_log_prior(cand.alpha, cand.mu, priors) - pc_log_prior(

@@ -23,9 +23,9 @@ from stratasim.likelihood import (
     LayerParams,
     init_from_empirical,
     jacobian_inv,
-    phi_inverse,
-    phi_transform,
+    latent_from_thickness,
     tcd,
+    thickness_from_latent,
     thickness_moments,
 )
 from stratasim.mcmc import PriorSpec, ProposalSpec, metropolis_accept, run_chain
@@ -239,8 +239,7 @@ def test_criterion_10_tcd():
     ok = tcd(0.0, params) == 0.0 and tcd(np.inf, params) == 1.0
     rng = np.random.default_rng(1010)
     w = rng.standard_normal(1_000_000)
-    zpos = np.sort(phi_transform(w[w > params.tau] - params.tau,
-                                 params.mu, params.beta))
+    zpos = np.sort(thickness_from_latent(w, params)[w > params.tau])
     grid = np.linspace(0.0, zpos[-1], 500)
     emp = np.searchsorted(zpos, grid, side="right") / zpos.size
     ks = float(np.max(np.abs(emp - tcd(grid, params))))
@@ -253,10 +252,12 @@ def test_criterion_11_jacobian():
     worst = 0.0
     for _ in range(1000):
         z = rng.uniform(0.05, 20.0)
-        mu = rng.uniform(0.2, 10.0)
-        beta = rng.uniform(0.3, 3.8)
+        # p = 0.5 puts tau at exactly 0
+        params = LayerParams(0.5, rng.uniform(0.2, 10.0), rng.uniform(0.3, 3.8), 1.0)
         h = 1e-6 * z
-        fd = (phi_inverse(z + h, mu, beta) - phi_inverse(z - h, mu, beta)) / (2 * h)
-        worst = max(worst, abs(jacobian_inv(z, mu, beta) / fd - 1.0))
+        fd = (
+            latent_from_thickness(z + h, params) - latent_from_thickness(z - h, params)
+        ) / (2 * h)
+        worst = max(worst, abs(jacobian_inv(z, params) / fd - 1.0))
     ok = worst < 1e-6
     _report(11, f"analytic Jacobian matches finite differences (max rel {worst:.1e})", ok)

@@ -48,6 +48,18 @@ class TestRunConfig:
         with pytest.raises(DatasetError, match=":2"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "line", ["d_mu = nan", "mu0 = inf", "p_split = nan", "t0 = nan",
+                 "param.Green.mu = -inf"],
+    )
+    def test_non_finite_float_exit_2_with_line(self, tmp_path, capsys, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# c\n{line}\n")
+        with pytest.raises(DatasetError, match=r"run\.cfg:2: .* must be finite"):
+            RunConfig.from_file(path)
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_sim_params(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -136,12 +148,6 @@ class TestFit:
         root, _ = workspace
         lines = (root / "out" / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 * 4
-
-    def test_dry_run_prints_table(self, workspace, capsys):
-        _, cfg = workspace
-        assert main(["fit", "--config", str(cfg), "--seed", "1", "--dry-run"]) == 0
-        out = capsys.readouterr().out
-        assert "p0" in out and "Green" in out
 
     def test_deterministic(self, workspace, tmp_path):
         root, cfg = workspace
@@ -472,9 +478,38 @@ class TestChainUnlikeTheRecords:
         assert "records of borehole(s) bh1" in capsys.readouterr().err
 
 
+class TestChainWithoutSamples:
+    """A fit whose burn-in covers every iteration keeps no sample; the
+    commands that read its chain exit 3 instead of failing on empty arrays."""
+
+    @pytest.fixture
+    def empty_fit(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        cfg2 = tmp_path / "empty.cfg"
+        cfg2.write_text(
+            cfg.read_text().replace(f"output_dir = {root}/out", f"output_dir = {tmp_path}")
+            + "n_iter = 4\nburn_in = 4\n"
+        )
+        assert main(["fit", "--config", str(cfg2), "--seed", "1"]) == 0
+        assert "wrote 0 posterior samples" in capsys.readouterr().out
+        return cfg2
+
+    def _exit_3(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "holds no posterior samples" in err and "Traceback" not in err
+
+    def test_tcd_exit_3(self, empty_fit, capsys):
+        self._exit_3(["tcd", "--config", str(empty_fit), "--facies", "Blue"], capsys)
+
+    def test_conditional_simulate_exit_3(self, empty_fit, capsys):
+        self._exit_3(["simulate", "--config", str(empty_fit), "--seed", "2",
+                      "--mode", "conditional"], capsys)
+
+
 class TestValidate:
     def test_reports_and_prints_table(self, workspace, capsys):
         _, cfg = workspace
         assert main(["validate", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "compatible" in out and "p0" in out
+        assert "compatible" in out and "p0" in out and "Green" in out

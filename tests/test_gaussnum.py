@@ -198,7 +198,7 @@ class TestMvnCdfBelow:
         assert prob == 0.5
 
 
-def _per_call_mvn_cdf_below(upper, mean, cov, tol, max_points=50_000):
+def _per_call_mvn_cdf_below(upper, mean, cov, tol, max_points=65_536):
     """Reference ``mvn_cdf_below`` that draws its shifts and builds every
     point set on each call (10 shifts, first round of 128 points)."""
     b = np.asarray(upper, dtype=float)

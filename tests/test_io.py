@@ -167,6 +167,14 @@ class TestChainFiles:
         assert it == 10 and ll == samples[0].loglik
         assert params == samples[0].params
 
+    def test_samples_header(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        io.save_samples(path, _samples(), ["Green", "Red"])
+        assert path.read_text().splitlines()[0] == (
+            "iteration,p_Green,mu_Green,beta_Green,alpha_Green,nu_Green,"
+            "p_Red,mu_Red,beta_Red,alpha_Red,nu_Red,loglik"
+        )
+
     def test_configurations_round_trip(self, tmp_path):
         path = tmp_path / "configs.csv"
         samples = _samples()

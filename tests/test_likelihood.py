@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from stratasim.errors import ParameterError
@@ -14,9 +15,8 @@ from stratasim.likelihood import (
     LayerParams,
     init_from_empirical,
     jacobian_inv,
+    latent_from_thickness,
     layer_loglik,
-    phi_inverse,
-    phi_transform,
     tcd,
     thickness_from_latent,
     thickness_moments,
@@ -33,14 +33,20 @@ def layer_data_from_columns(z_col, locations) -> LayerData:
     return LayerData(z[pos], locs[pos], locs[~pos])
 
 
+def _transform_params(mu, beta, p=0.5):
+    """Layer parameters for the transform tests; p = 0.5 makes tau exactly 0."""
+    return LayerParams(p=p, mu=mu, beta=beta, alpha=1.0)
+
+
 class TestTransform:
     def test_identity_jacobian(self):
         z = np.array([0.1, 1.0, 7.3])
-        assert np.allclose(jacobian_inv(z, 1.0, 1.0), 1.0)
+        assert np.allclose(jacobian_inv(z, _transform_params(1.0, 1.0)), 1.0)
 
     def test_hand_value(self):
         # d/dz (z/2)^(1/2) at z=2 is 1/(2*sqrt(2*2)) = 0.25
-        assert jacobian_inv(2.0, 2.0, 2.0) == pytest.approx(0.25, abs=1e-12)
+        got = jacobian_inv(2.0, _transform_params(2.0, 2.0))
+        assert got == pytest.approx(0.25, abs=1e-12)
 
     @given(
         st.floats(0.01, 50.0),
@@ -49,19 +55,43 @@ class TestTransform:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, z, mu, beta):
-        assert phi_transform(phi_inverse(z, mu, beta), mu, beta) == pytest.approx(
-            z, rel=1e-12
-        )
+        params = _transform_params(mu, beta)
+        w = latent_from_thickness(z, params)
+        assert thickness_from_latent(w, params) == pytest.approx(z, rel=1e-12)
+
+    @given(
+        st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8),
+        st.floats(0.01, 0.99),
+        st.floats(0.1, 20.0),
+        st.floats(0.3, 3.9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_and_tcd_keep_the_hand_written_bits(self, z, p, mu, beta):
+        params = _transform_params(mu, beta, p)
+        tau = params.tau
+
+        def old_tcd(z):
+            z = np.asarray(z, dtype=float)
+            val = np.clip((ndtr(tau + (z / mu) ** (1.0 / beta)) - ndtr(tau)) / p, 0, 1)
+            return val if val.ndim else float(val)
+
+        # numpy's scalar and array powers may round differently, so each
+        # input kind is compared with the old expression on that kind
+        for zs in (np.array(z), np.asarray(z[0]), z[0]):
+            w = latent_from_thickness(zs, params)
+            assert np.array_equal(w, (np.asarray(zs) / mu) ** (1 / beta) + tau)
+            assert np.array_equal(tcd(zs, params), old_tcd(zs))
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(100)
         for _ in range(1000):
             z = rng.uniform(0.05, 20.0)
-            mu = rng.uniform(0.2, 10.0)
-            beta = rng.uniform(0.3, 3.8)
+            params = _transform_params(rng.uniform(0.2, 10.0), rng.uniform(0.3, 3.8))
             h = 1e-6 * z
-            fd = (phi_inverse(z + h, mu, beta) - phi_inverse(z - h, mu, beta)) / (2 * h)
-            assert jacobian_inv(z, mu, beta) == pytest.approx(fd, rel=1e-6)
+            fd = (
+                latent_from_thickness(z + h, params) - latent_from_thickness(z - h, params)
+            ) / (2 * h)
+            assert jacobian_inv(z, params) == pytest.approx(fd, rel=1e-6)
 
     def test_thickness_from_latent(self):
         params = LayerParams(p=0.3, mu=2.0, beta=1.5, alpha=1.0)
@@ -73,12 +103,18 @@ class TestTransform:
         assert thickness_from_latent(np.full(3, tau), params).tolist() == [0.0] * 3
 
     def test_invalid_params(self):
+        # LayerParams is the one check of each support the transforms rely on
+        bad = [("p", 0.0), ("p", 1.0), ("p", -0.2), ("p", np.nan),
+               ("mu", 0.0), ("mu", -1.0), ("mu", np.nan),
+               ("beta", 0.25), ("beta", 4.0), ("beta", 5.0), ("beta", np.nan),
+               ("alpha", 0.0), ("alpha", -1.0)]
+        for field, value in bad:
+            with pytest.raises(ParameterError):
+                replace(_transform_params(1.0, 1.0), **{field: value})
+
+    def test_jacobian_needs_positive_thickness(self):
         with pytest.raises(ParameterError):
-            phi_transform(1.0, -1.0, 1.0)
-        with pytest.raises(ParameterError):
-            phi_transform(1.0, 1.0, 5.0)
-        with pytest.raises(ParameterError):
-            jacobian_inv(0.0, 1.0, 1.0)
+            jacobian_inv(0.0, _transform_params(1.0, 1.0))
 
 
 PARAMS = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0)
@@ -88,17 +124,17 @@ class TestLayerLoglik:
     def test_single_positive_site(self):
         z = 0.7
         data = LayerData([z], [[0.0, 0.0]], np.empty((0, 2)))
-        w = phi_inverse(z, PARAMS.mu, PARAMS.beta) + PARAMS.tau
-        want = norm.logpdf(w) + np.log(jacobian_inv(z, PARAMS.mu, PARAMS.beta))
+        w = latent_from_thickness(z, PARAMS)
+        want = norm.logpdf(w) + np.log(jacobian_inv(z, PARAMS))
         assert layer_loglik(data, PARAMS) == pytest.approx(want, abs=1e-12)
 
     def test_far_apart_independence_limit(self):
         z = 1.3
         data = LayerData([z], [[0.0, 0.0]], [[1e7, 0.0]])
-        w = phi_inverse(z, PARAMS.mu, PARAMS.beta) + PARAMS.tau
+        w = latent_from_thickness(z, PARAMS)
         want = (
             norm.logpdf(w)
-            + np.log(jacobian_inv(z, PARAMS.mu, PARAMS.beta))
+            + np.log(jacobian_inv(z, PARAMS))
             + np.log(1.0 - PARAMS.p)
         )
         assert layer_loglik(data, PARAMS) == pytest.approx(want, abs=1e-6)
@@ -135,10 +171,10 @@ class TestLayerLoglik:
         params = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1e-6 * d_min)
         got = layer_loglik(layer_data_from_columns(z, locs), params, cdf_tol=1e-6)
         pos = z[z > 0]
-        w = phi_inverse(pos, params.mu, params.beta) + params.tau
+        w = latent_from_thickness(pos, params)
         want = float(
             np.sum(norm.logpdf(w))
-            + np.sum(np.log(jacobian_inv(pos, params.mu, params.beta)))
+            + np.sum(np.log(jacobian_inv(pos, params)))
             + 2 * np.log(1 - params.p)
         )
         assert got == pytest.approx(want, abs=1e-4)
@@ -332,8 +368,7 @@ class TestTcd:
         rng = np.random.default_rng(31)
         params = LayerParams(p=0.4, mu=1.5, beta=1.3, alpha=1.0)
         w = rng.standard_normal(1_000_000)
-        zpos = np.sort(phi_transform(w[w > params.tau] - params.tau,
-                                     params.mu, params.beta))
+        zpos = np.sort(thickness_from_latent(w, params)[w > params.tau])
         grid = np.linspace(0.0, zpos[-1], 400)
         emp = np.searchsorted(zpos, grid, side="right") / zpos.size
         ks = np.max(np.abs(emp - tcd(grid, params)))

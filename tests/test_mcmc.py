@@ -1,5 +1,6 @@
 """Priors, Metropolis kernels, configuration sweep, and the full chain."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -201,6 +202,41 @@ class TestUpdateParameter:
         ]
         for accepted in changed:
             assert 0.0 < state.params["Blue"].p < 1.0
+
+    @pytest.mark.parametrize("which,start", [
+        ("p", 0.999), ("mu", 0.05), ("beta", 0.3), ("alpha", 0.05),
+    ])
+    def test_out_of_support_draws_and_logs_nothing(
+        self, which, start, caplog, monkeypatch
+    ):
+        inside = {
+            "p": lambda v: 0.0 < v < 1.0,
+            "mu": lambda v: v > 0.0,
+            "beta": lambda v: 0.25 < v < 4.0,
+            "alpha": lambda v: v > 0.0,
+        }[which]
+        model = ThicknessModel([BH1], PARENT1)
+        state = self._state(model)
+        state.params["Blue"] = replace(state.params["Blue"], **{which: start})
+        state.layer_terms = model.all_terms(state.configs, state.params)
+        params, terms = dict(state.params), state.layer_terms.copy()
+        wide = replace(ProposalSpec(), **{f"d_{which}": 20.0})
+        scored = []
+        monkeypatch.setattr(model, "layer_term", lambda *args: scored.append(args))
+        caplog.set_level(logging.DEBUG, logger="stratasim.mcmc")
+        outside = 0
+        for seed in range(40):
+            twin = np.random.default_rng(seed)
+            if inside(start + twin.uniform(-20.0, 20.0)):
+                continue
+            outside += 1
+            rng = np.random.default_rng(seed)
+            assert not update_parameter(model, state, "Blue", which, wide, PriorSpec(), rng)
+            # only the proposal's uniform was drawn
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert outside >= 10
+        assert scored == [] and caplog.records == []
+        assert state.params == params and np.array_equal(state.layer_terms, terms)
 
     def test_audit_catches_corrupted_cache(self):
         model = ThicknessModel([BH1, BH2], PARENT1)
