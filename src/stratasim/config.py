@@ -7,11 +7,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DatasetError
+from .gaussnum import ALLOWED_NU
 from .likelihood import PARAM_KINDS, LayerParams
 from .mcmc import PriorSpec, ProposalSpec
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
+
+# (test, what the value must be) for keys whose model range is narrower
+# than their type's
+_POSITIVE = (lambda v: v > 0, "positive")
+_MATERN_NU = (lambda v: v in ALLOWED_NU, f"one of {ALLOWED_NU}")
 
 
 @dataclass
@@ -61,7 +67,7 @@ class RunConfig:
     def _from_raw(cls, raw, path) -> "RunConfig":
         cfg = cls()
 
-        def take(key, conv, default):
+        def take(key, conv, default, rule=None):
             if key not in raw:
                 return default
             ln, value = raw.pop(key)
@@ -71,6 +77,8 @@ class RunConfig:
                 raise DatasetError(f"{path}:{ln}: bad value for {key}: {value!r}") from exc
             if isinstance(out, float) and not math.isfinite(out):
                 raise DatasetError(f"{path}:{ln}: {key} must be finite, got {value!r}")
+            if rule is not None and not rule[0](out):
+                raise DatasetError(f"{path}:{ln}: {key} must be {rule[1]}, got {value!r}")
             return out
 
         def boolean(v):
@@ -79,7 +87,7 @@ class RunConfig:
         cfg.boreholes = take("boreholes", str, cfg.boreholes)
         cfg.parent = take("parent", str, cfg.parent)
         cfg.output_dir = take("output_dir", str, cfg.output_dir)
-        cfg.nu = take("nu", float, cfg.nu)
+        cfg.nu = take("nu", float, cfg.nu, _MATERN_NU)
         cfg.tie_by_facies = take("tie_by_facies", boolean, cfg.tie_by_facies)
         cfg.priors = PriorSpec(
             eps_alpha=take("eps_alpha", float, cfg.priors.eps_alpha),
@@ -101,8 +109,8 @@ class RunConfig:
         cfg.n_iter = take("n_iter", int, cfg.n_iter)
         cfg.burn_in = take("burn_in", int, cfg.burn_in)
         cfg.thin = take("thin", int, cfg.thin)
-        cfg.cdf_tol = take("cdf_tol", float, cfg.cdf_tol)
-        cfg.alpha_init = take("alpha_init", float, cfg.alpha_init)
+        cfg.cdf_tol = take("cdf_tol", float, cfg.cdf_tol, _POSITIVE)
+        cfg.alpha_init = take("alpha_init", float, cfg.alpha_init, _POSITIVE)
         cfg.grid_origin = (
             take("grid_origin_x", float, cfg.grid_origin[0]),
             take("grid_origin_y", float, cfg.grid_origin[1]),

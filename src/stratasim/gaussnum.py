@@ -147,13 +147,12 @@ def mvn_logpdf(x, mean, cov) -> float:
     mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     chol = chol_psd(cov)
-    return mvn_logpdf_chol(x - mean, chol, chol_logdet(chol))
+    return logpdf_whitened(np.linalg.solve(chol, x - mean), chol_logdet(chol))
 
 
-def mvn_logpdf_chol(resid: np.ndarray, chol: np.ndarray, logdet: float) -> float:
-    """log N(resid; 0, L L') given the factor L and its ``chol_logdet``."""
-    r = np.linalg.solve(chol, resid)
-    return float(-0.5 * (resid.size * np.log(2.0 * np.pi) + logdet + r @ r))
+def logpdf_whitened(r: np.ndarray, logdet: float) -> float:
+    """log N(x; 0, L L') given r = L^-1 x and ``chol_logdet(L)``."""
+    return float(-0.5 * (r.size * np.log(2.0 * np.pi) + logdet + r @ r))
 
 
 _SOBOL_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -167,8 +166,9 @@ _FIRST_ROUND = 128
 _MAX_POINTS = 65_536
 
 # dim -> (shifts, first-round point set).  Both are pure functions of the
-# dimension, so one copy serves every call in the process.  Later rounds keep
-# only their unshifted Sobol points, in ``_SOBOL_CACHE``.
+# dimension, so one copy serves every call in the process.  A later round
+# scores only the points it adds, built by ``_shifted_points`` from the
+# unshifted Sobol points in ``_SOBOL_CACHE``.
 _FIRST_ROUND_SETS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -180,18 +180,26 @@ def _sobol_points(dim: int, n: int) -> np.ndarray:
     return _SOBOL_CACHE[key]
 
 
-def _shifted_points(n: int, shifts: np.ndarray) -> np.ndarray:
-    """The first ``n`` Sobol points under each random shift, mod 1, stacked."""
+def _shifted_points(start: int, stop: int, shifts: np.ndarray) -> np.ndarray:
+    """Sobol points ``start`` to ``stop - 1`` under each random shift, mod 1.
+
+    One row per coordinate, the points in shift-major order along it, so
+    ``_genz_probs`` reads each coordinate contiguously.  ``stop`` is a power
+    of two.  An unscrambled Sobol set of 2n points begins with the set of n
+    points, so the points n to 2n - 1 are exactly what a doubled round adds.
+    """
     n_shifts, dim = shifts.shape
-    base = _sobol_points(dim, n)
-    return ((base[None, :, :] + shifts[:, None, :]) % 1.0).reshape(n_shifts * n, dim)
+    base = _sobol_points(dim, stop)[start:].T
+    return ((base[:, None, :] + shifts.T[:, :, None]) % 1.0).reshape(
+        dim, n_shifts * (stop - start)
+    )
 
 
 def _first_round(dim: int):
     """Shifts drawn by ``default_rng(0x5EED)`` and their first-round points."""
     if dim not in _FIRST_ROUND_SETS:
         shifts = np.random.default_rng(0x5EED).random((_N_SHIFTS, dim))
-        points = _shifted_points(_FIRST_ROUND, shifts)
+        points = _shifted_points(0, _FIRST_ROUND, shifts)
         shifts.flags.writeable = False
         points.flags.writeable = False
         _FIRST_ROUND_SETS[dim] = (shifts, points)
@@ -199,17 +207,30 @@ def _first_round(dim: int):
 
 
 def _genz_probs(lower_chol, b, u01) -> np.ndarray:
-    """Separation-of-variables sample probabilities of P(X < b), X ~ N(0, L L')."""
-    n, dm1 = u01.shape
-    d = dm1 + 1
+    """Separation-of-variables sample probabilities of P(X < b), X ~ N(0, L L').
+
+    ``u01`` holds one row per coordinate of the points, as ``_shifted_points``
+    builds it.  Each point is scored on its own, so a point set scored in
+    pieces gives the bits of scoring it whole.  The steps write into buffers
+    made once per call.  ``ys`` stays point-major: the mat-vec
+    ``ys[:, :i] @ L[i, :i]`` on the transposed layout is faster but changes
+    the last bits.
+    """
+    dm1, n = u01.shape
     e = np.full(n, ndtr(b[0] / lower_chol[0, 0]))
     prob = e.copy()
     ys = np.empty((n, dm1))
-    for i in range(1, d):
-        q = np.clip(u01[:, i - 1] * e, _PROB_FLOOR, 1.0 - 1e-16)
-        ys[:, i - 1] = ndtri(q)
-        mu = ys[:, :i] @ lower_chol[i, :i]
-        e = ndtr((b[i] - mu) / lower_chol[i, i])
+    q = np.empty(n)
+    mu = np.empty(n)
+    for i in range(1, dm1 + 1):
+        # u < 1 and e <= 1 give q < 1, so q needs only its lower clip
+        np.multiply(u01[i - 1], e, out=q)
+        np.maximum(q, _PROB_FLOOR, out=q)
+        ndtri(q, out=ys[:, i - 1])
+        np.matmul(ys[:, :i], lower_chol[i, :i], out=mu)
+        np.subtract(b[i], mu, out=mu)
+        np.divide(mu, lower_chol[i, i], out=mu)
+        ndtr(mu, out=e)
         prob *= e
     return prob
 
@@ -226,10 +247,11 @@ def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
     The result is a deterministic function of the inputs, which the MCMC
     cache audit relies on: the shifts come from ``default_rng(0x5EED)``, so
     the first round's point set depends on the dimension only and is built
-    once per dimension.
+    once per dimension.  A round that doubles the points scores only the
+    points it adds and keeps the earlier rounds' scores, which gives the bits
+    of scoring the doubled set whole.
     """
     b = np.atleast_1d(np.asarray(upper, dtype=float))
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), b.shape)
     d = b.size
     if d == 0:
         return 1.0, 0.0
@@ -238,28 +260,32 @@ def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
     if not tol > 0:
         raise ParameterError("tol must be positive")
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    bc = b - mean
+    bc = b - np.asarray(mean, dtype=float)
     if d == 1:
         sd = np.sqrt(cov[0, 0])
         return float(ndtr(bc[0] / sd)), 0.0
 
     order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
     bo = bc[order]
-    co = cov[np.ix_(order, order)]
-    chol = chol_psd(co)
+    chol = chol_psd(cov[order[:, None], order])
     shifts, u = _first_round(d - 1)
 
-    n = _FIRST_ROUND
+    # one row of point scores per shift, in Sobol order; the estimate and its
+    # error are ``ests.mean()`` and ``3 ests.std(ddof=1) / sqrt(shifts)`` in
+    # numpy's own reductions, without their per-call overhead
+    probs = _genz_probs(chol, bo, u).reshape(_N_SHIFTS, _FIRST_ROUND)
     while True:
-        probs = _genz_probs(chol, bo, u)
-        ests = probs.reshape(_N_SHIFTS, n).mean(axis=1)
-        est = float(ests.mean())
-        err = float(3.0 * ests.std(ddof=1) / np.sqrt(_N_SHIFTS))
+        n = probs.shape[1]
+        ests = np.add.reduce(probs, axis=1) / n
+        est = np.add.reduce(ests) / _N_SHIFTS
+        dev = ests - est
+        err = float(3.0 * np.sqrt(np.add.reduce(dev * dev) / (_N_SHIFTS - 1))
+                    / np.sqrt(_N_SHIFTS))
         if err <= tol or n >= _MAX_POINTS:
             break
-        n *= 2
-        u = _shifted_points(n, shifts)
-    return min(max(est, 0.0), 1.0), err
+        added = _genz_probs(chol, bo, _shifted_points(n, 2 * n, shifts))
+        probs = np.concatenate([probs, added.reshape(_N_SHIFTS, n)], axis=1)
+    return min(max(float(est), 0.0), 1.0), err
 
 
 def _ppf_below(u, b):

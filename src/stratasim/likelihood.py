@@ -11,10 +11,11 @@ zero-site latents sit below tau given the positive ones.  The complete-data
 log-likelihood is the sum of the layer terms, ``ThicknessModel.all_terms``.
 
 A layer term splits in two.  ``layer_kernel`` builds what depends only on
-the Matern spec and the support (which sites are positive): the covariance
-blocks and the Cholesky factor of the positive block.  ``kernel_loglik``
-evaluates the thicknesses against a kernel.  p, mu and beta leave the kernel
-unchanged, so the sampler keeps kernels (see ``ThicknessModel``).
+the Matern spec and the support (which sites are positive): the Cholesky
+factor of the positive block, the zero sites' kriging weights and their
+conditional covariance.  ``kernel_loglik`` evaluates the thicknesses against
+a kernel.  p, mu and beta leave the kernel unchanged, so the sampler keeps
+kernels (see ``ThicknessModel``).
 """
 
 from __future__ import annotations
@@ -122,15 +123,17 @@ class LayerKernel:
     """The part of a layer's likelihood that the thicknesses do not change.
 
     It depends on the Matern spec and on which sites are positive, over fixed
-    site locations: the covariance blocks of the positive sites (n) and the
-    zero sites (u), and the Cholesky factor and log-determinant of S_nn.  The
-    arrays are read-only, so one kernel can serve many evaluations.
+    site locations.  With S_nn the covariance of the positive sites (n) and
+    L its Cholesky factor, it holds L, log det S_nn, the kriging weights
+    krig = L^-1 S_nu of the zero sites (u), and their conditional covariance
+    given the positive sites, S_uu - krig' krig.  The arrays are read-only,
+    so one kernel can serve many evaluations.
     """
 
-    chol: np.ndarray    # lower Cholesky factor of S_nn, shape (n, n)
-    logdet: float       # log det S_nn
-    s_un: np.ndarray    # shape (u, n)
-    s_uu: np.ndarray    # shape (u, u)
+    chol: np.ndarray      # lower Cholesky factor L of S_nn, shape (n, n)
+    logdet: float         # log det S_nn
+    krig: np.ndarray      # L^-1 S_nu, shape (n, u)
+    cond_cov: np.ndarray  # S_uu - krig' krig, symmetrised, shape (u, u)
 
 
 def layer_kernel(pos_locs, zero_locs, spec: MaternSpec) -> LayerKernel:
@@ -142,13 +145,15 @@ def layer_kernel(pos_locs, zero_locs, spec: MaternSpec) -> LayerKernel:
         joint = gaussnum.cov_matrix(np.vstack([pos_locs, zero_locs]), spec)
     s_nn = joint[:n_pos, :n_pos].copy()
     chol = gaussnum.chol_psd(s_nn) if n_pos else s_nn
+    krig = np.linalg.solve(chol, joint[:n_pos, n_pos:])
+    cond_cov = joint[n_pos:, n_pos:] - krig.T @ krig
     kernel = LayerKernel(
         chol=chol,
         logdet=gaussnum.chol_logdet(chol),
-        s_un=joint[n_pos:, :n_pos].copy(),
-        s_uu=joint[n_pos:, n_pos:].copy(),
+        krig=krig,
+        cond_cov=0.5 * (cond_cov + cond_cov.T),
     )
-    for arr in (kernel.chol, kernel.s_un, kernel.s_uu):
+    for arr in (kernel.chol, kernel.krig, kernel.cond_cov):
         arr.flags.writeable = False
     return kernel
 
@@ -158,29 +163,26 @@ def kernel_loglik(
 ) -> float:
     """``layer_loglik`` of the positive thicknesses ``pos_z`` under ``kernel``.
 
-    ``pos_z`` lists the positive sites in the kernel's order.
+    ``pos_z`` lists the positive sites in the kernel's order.  One solve
+    against the factor gives both the positive sites' log-density and the
+    zero sites' kriged mean.
     """
     pos_z = np.atleast_1d(np.asarray(pos_z, dtype=float))
-    n_pos = pos_z.size
-    n_zero = kernel.s_uu.shape[0]
-    tau = params.tau
-
-    if n_pos == 0:
-        if n_zero == 0:
-            return 0.0
-        prob, _ = gaussnum.mvn_cdf_below(
-            np.full(n_zero, tau), np.zeros(n_zero), kernel.s_uu, tol=cdf_tol
-        )
-        return float(np.log(max(prob, _LOG_FLOOR)))
-
-    w = latent_from_thickness(pos_z, params)
-    total = gaussnum.mvn_logpdf_chol(w, kernel.chol, kernel.logdet)
-    total += float(np.sum(np.log(jacobian_inv(pos_z, params))))
+    n_zero = kernel.cond_cov.shape[0]
+    total = 0.0
+    mean = np.zeros(n_zero)
+    if pos_z.size:
+        w = latent_from_thickness(pos_z, params)
+        white = np.linalg.solve(kernel.chol, w)
+        total = gaussnum.logpdf_whitened(white, kernel.logdet)
+        total += float(np.sum(np.log(jacobian_inv(pos_z, params))))
+        mean = kernel.krig.T @ white
 
     if n_zero > 0:
-        m, v = gaussnum.condition_chol(kernel.chol, kernel.s_un, kernel.s_uu, w)
         try:
-            prob, _ = gaussnum.mvn_cdf_below(np.full(n_zero, tau), m, v, tol=cdf_tol)
+            prob, _ = gaussnum.mvn_cdf_below(
+                np.full(n_zero, params.tau), mean, kernel.cond_cov, tol=cdf_tol
+            )
         except NumericError as exc:
             raise NumericError(f"orthant probability failed: {exc}") from exc
         total += float(np.log(max(prob, _LOG_FLOOR)))
@@ -201,23 +203,19 @@ def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) ->
     return kernel_loglik(kernel, data.pos_z, params, cdf_tol)
 
 
-def thickness_moments(mu: float, p: float, beta: float = 1.0):
+def thickness_moments(params: LayerParams):
     """Mean and variance of the positive part of the thickness (beta = 1 only).
 
     mean = mu (imr - tau), var = mu^2 [1 + imr (tau - imr)] with
     imr = phi(tau) / (1 - Phi(tau)) the inverse Mills ratio.  Non-unit beta
     would need hypergeometric functions and is unsupported.
     """
-    if beta != 1.0:
+    if params.beta != 1.0:
         raise ParameterError(
-            f"thickness moments are only available for beta = 1 (got beta = {beta})"
+            f"thickness moments are only available for beta = 1 (got beta = {params.beta})"
         )
-    if not mu > 0:
-        raise ParameterError(f"mu must be positive, got {mu}")
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
-    tau = float(ndtri(1.0 - p))
-    imr = float(norm.pdf(tau) / p)  # 1 - Phi(tau) = p
+    mu, tau = params.mu, params.tau
+    imr = float(norm.pdf(tau) / params.p)  # 1 - Phi(tau) = p
     mean = mu * (imr - tau)
     var = mu * mu * (1.0 + imr * (tau - imr))
     return float(mean), float(var)

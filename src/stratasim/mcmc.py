@@ -11,9 +11,10 @@ Two things are cached.  The chain state keeps one log-likelihood term per
 layer, so a proposal rescores only the layers it touches.  The model keeps a
 bounded memo of likelihood kernels keyed by (Matern spec, support mask):
 borehole locations never move, and p, mu and beta proposals leave both keys
-unchanged, so they reuse the kernel and skip the covariance and its
-Cholesky factor.  Every ``audit_every`` iterations ``_audit`` recomputes
-every term through an empty memo and compares it with the cached terms.
+unchanged, so they reuse the kernel and skip the covariance, its Cholesky
+factor and the kriging of the zero sites.  Every ``audit_every`` iterations
+``_audit`` recomputes every term through an empty memo and compares it with
+the cached terms.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import truncnorm
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc, truncnorm
 
 from stratasim import fieldsim, gaussnum, likelihood
 from stratasim.core import (
@@ -86,6 +87,89 @@ def matern(h, spec):
     else:
         out = (1.0 + r + r * r / 3.0) * np.exp(-r)
     return out if out.ndim else float(out)
+
+
+def _genz_probs(lower_chol, b, u01):
+    """Genz separation-of-variables sample probabilities, one new array per
+    step and ``np.clip`` for the bounds."""
+    n, dm1 = u01.shape
+    e = np.full(n, ndtr(b[0] / lower_chol[0, 0]))
+    prob = e.copy()
+    ys = np.empty((n, dm1))
+    for i in range(1, dm1 + 1):
+        q = np.clip(u01[:, i - 1] * e, 1e-300, 1.0 - 1e-16)
+        ys[:, i - 1] = ndtri(q)
+        mu = ys[:, :i] @ lower_chol[i, :i]
+        e = ndtr((b[i] - mu) / lower_chol[i, i])
+        prob *= e
+    return prob
+
+
+def mvn_cdf_below(upper, mean, cov, tol, max_points=65_536):
+    """Orthant probability P(X < upper), X ~ N(mean, cov), by randomized QMC
+    with every round built and scored whole.
+
+    The 10 shifts come from ``default_rng(0x5EED)`` on every call.  A round
+    has 128 Sobol points per shift, doubling until the error estimate meets
+    ``tol`` or a round has ``max_points`` per shift, and each round scores
+    its whole point set.
+    """
+    b = np.atleast_1d(np.asarray(upper, dtype=float))
+    bc = b - np.broadcast_to(np.asarray(mean, dtype=float), b.shape)
+    d = b.size
+    if d == 0:
+        return 1.0, 0.0
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if d == 1:
+        return float(ndtr(bc[0] / np.sqrt(cov[0, 0]))), 0.0
+    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
+    chol = gaussnum.chol_psd(cov[np.ix_(order, order)])
+    shifts = np.random.default_rng(0x5EED).random((10, d - 1))
+    n = 128
+    while True:
+        base = qmc.Sobol(d - 1, scramble=False).random_base2(int(np.log2(n)))
+        u = ((base[None, :, :] + shifts[:, None, :]) % 1.0).reshape(10 * n, d - 1)
+        ests = _genz_probs(chol, bc[order], u).reshape(10, n).mean(axis=1)
+        est = float(ests.mean())
+        err = float(3.0 * ests.std(ddof=1) / np.sqrt(10))
+        if err <= tol or n >= max_points:
+            break
+        n *= 2
+    return min(max(est, 0.0), 1.0), err
+
+
+def layer_loglik(z_col, locations, params, cdf_tol):
+    """One layer's log-likelihood from its thickness column, with the
+    covariance, the factor and the kriging built on every call.
+
+    One solve gives the positive sites' log-density; a second, stacked solve
+    of ``[S_un', w]`` gives the zero sites' kriged mean and covariance.
+    """
+    z = np.asarray(z_col, dtype=float)
+    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
+    pos = z > 0
+    n_pos, n_zero = int(pos.sum()), int((~pos).sum())
+    tau = params.tau
+    joint = gaussnum.cov_matrix(np.vstack([locs[pos], locs[~pos]]), params.matern_spec)
+    s_un = joint[n_pos:, :n_pos]
+    s_uu = joint[n_pos:, n_pos:]
+    if n_pos == 0:
+        prob, _ = mvn_cdf_below(np.full(n_zero, tau), np.zeros(n_zero), s_uu, cdf_tol)
+        return float(np.log(max(prob, 1e-300)))
+
+    chol = gaussnum.chol_psd(joint[:n_pos, :n_pos])
+    w = likelihood.latent_from_thickness(z[pos], params)
+    r = np.linalg.solve(chol, w)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    total = float(-0.5 * (n_pos * np.log(2.0 * np.pi) + logdet + r @ r))
+    total += float(np.sum(np.log(likelihood.jacobian_inv(z[pos], params))))
+    if n_zero:
+        tmp = np.linalg.solve(chol, np.column_stack([s_un.T, w]))
+        m = tmp[:, :-1].T @ tmp[:, -1]
+        v = s_uu - tmp[:, :-1].T @ tmp[:, :-1]
+        prob, _ = mvn_cdf_below(np.full(n_zero, tau), m, 0.5 * (v + v.T), cdf_tol)
+        total += float(np.log(max(prob, 1e-300)))
+    return float(total)
 
 
 def sample_truncated_mvn(mean, cov, upper, rng):

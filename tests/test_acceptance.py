@@ -79,7 +79,7 @@ def test_criterion_02_kriging_oracle():
 
 def test_criterion_03_moment_oracle():
     t0 = time.time()
-    mean, var = thickness_moments(1.0, 0.5)
+    mean, var = thickness_moments(LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0))
     ok = abs(mean - 0.797885) < 1e-6 and abs(var - 0.363380) < 1e-6
     rng = np.random.default_rng(303)
     for p in (0.2, 0.5, 0.8):
@@ -87,7 +87,7 @@ def test_criterion_03_moment_oracle():
             tau = norm.ppf(1 - p)
             w = rng.standard_normal(1_000_000)
             zpos = mu * (w[w > tau] - tau)
-            m, v = thickness_moments(mu, p)
+            m, v = thickness_moments(LayerParams(p=p, mu=mu, beta=1.0, alpha=1.0))
             se_m = zpos.std() / np.sqrt(zpos.size)
             ok &= abs(zpos.mean() - m) < 3 * se_m
             m4 = np.mean((zpos - zpos.mean()) ** 4)

@@ -60,6 +60,22 @@ class TestRunConfig:
         assert main(["validate", "--config", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, rule", [
+        ("cdf_tol = -1", "cdf_tol must be positive"),
+        ("cdf_tol = 0", "cdf_tol must be positive"),
+        ("alpha_init = -1", "alpha_init must be positive"),
+        ("nu = 2", "nu must be one of (0.5, 1.5, 2.5)"),
+    ])
+    def test_out_of_range_exit_2_with_line(self, tmp_path, capsys, line, rule):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# c\n{line}\n")
+        for argv in (["fit", "--config", str(path), "--seed", "1"],
+                     ["simulate", "--config", str(path), "--seed", "1",
+                      "--mode", "unconditional"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:2: {rule}" in err and "Traceback" not in err
+
     def test_sim_params(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(

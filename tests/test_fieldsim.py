@@ -98,7 +98,7 @@ class TestUnconditional:
             vals.append(stack.thickness[1])
         vals = np.concatenate(vals)
         prm = PARAMS["Blue"]
-        mean_pos, var_pos = thickness_moments(prm.mu, prm.p)
+        mean_pos, var_pos = thickness_moments(prm)
         want = prm.p * mean_pos  # unconditional mean includes the zero atom
         se = vals.std() / np.sqrt(len(vals) / 4)  # crude correlation discount
         assert abs(vals.mean() - want) < 3 * se

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 from scipy.stats import norm, truncnorm
 
 import oracles
@@ -12,9 +11,7 @@ from stratasim.errors import CapacityError, NumericError, ParameterError
 from stratasim import gaussnum
 from stratasim.gaussnum import (
     CHOLESKY_BUDGET,
-    _genz_probs,
     _ppf_below,
-    _sobol_points,
     MaternSpec,
     chol_psd,
     condition,
@@ -198,31 +195,10 @@ class TestMvnCdfBelow:
         assert prob == 0.5
 
 
-def _per_call_mvn_cdf_below(upper, mean, cov, tol, max_points=65_536):
-    """Reference ``mvn_cdf_below`` that draws its shifts and builds every
-    point set on each call (10 shifts, first round of 128 points)."""
-    b = np.asarray(upper, dtype=float)
-    bc = b - np.asarray(mean, dtype=float)
-    d = b.size
-    rng = np.random.default_rng(0x5EED)
-    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
-    chol = chol_psd(cov[np.ix_(order, order)])
-    shifts = rng.random((10, d - 1))
-    n = 128
-    while True:
-        u = (_sobol_points(d - 1, n)[None, :, :] + shifts[:, None, :]) % 1.0
-        probs = _genz_probs(chol, bc[order], u.reshape(10 * n, d - 1))
-        ests = probs.reshape(10, n).mean(axis=1)
-        est = float(ests.mean())
-        err = float(3.0 * ests.std(ddof=1) / np.sqrt(10))
-        if err <= tol or n >= max_points:
-            break
-        n *= 2
-    return min(max(est, 0.0), 1.0), err
-
-
 class TestMvnCdfBelowPointSets:
-    """The kept first-round point set gives the per-call construction's bits."""
+    """``mvn_cdf_below`` gives the bits of ``oracles.mvn_cdf_below``, which
+    draws its shifts and builds and scores each round's whole point set on
+    every call."""
 
     def _case(self, d, seed):
         rng = np.random.default_rng(seed)
@@ -234,13 +210,37 @@ class TestMvnCdfBelowPointSets:
         upper, mean, cov = self._case(d, d)
         for _ in range(2):  # the second call reads the kept point set
             got = mvn_cdf_below(upper, mean, cov, tol=1e-2)
-            assert got == _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-2)
+            assert got == oracles.mvn_cdf_below(upper, mean, cov, tol=1e-2)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_nested_rounds(self, d):
+        upper, mean, cov = self._case(d, d)
+        got = mvn_cdf_below(upper, mean, cov, tol=1e-5)
+        assert got == oracles.mvn_cdf_below(upper, mean, cov, tol=1e-5)
+
+    @pytest.mark.parametrize("d, tol, rounds", [(8, 1e-4, 2), (11, 1e-4, 3),
+                                                (5, 1e-5, 4)])
+    def test_later_rounds_score_only_the_added_points(self, monkeypatch, d, tol,
+                                                      rounds):
+        scored = []
+        shifted_points = gaussnum._shifted_points
+
+        def spy(start, stop, shifts):
+            scored.append((start, stop))
+            return shifted_points(start, stop, shifts)
+
+        monkeypatch.setattr(gaussnum, "_shifted_points", spy)
+        upper, mean, cov = self._case(d, d)
+        got = mvn_cdf_below(upper, mean, cov, tol=tol)
+        assert got == oracles.mvn_cdf_below(upper, mean, cov, tol=tol)
+        later = [(start, stop) for start, stop in scored if start > 0]
+        assert later == [(128 << k, 256 << k) for k in range(rounds - 1)]
 
     def test_later_rounds(self, monkeypatch):
         monkeypatch.setattr(gaussnum, "_MAX_POINTS", 512)
         upper, mean, cov = self._case(6, 40)
         got = mvn_cdf_below(upper, mean, cov, tol=1e-12)
-        want = _per_call_mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
+        want = oracles.mvn_cdf_below(upper, mean, cov, tol=1e-12, max_points=512)
         assert got == want and got[1] > 1e-12  # ran to the 512-point round
 
 

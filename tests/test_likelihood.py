@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
+import oracles
 from stratasim.errors import ParameterError
+from stratasim.gaussnum import MaternSpec
 from stratasim.likelihood import (
     LayerData,
     LayerParams,
     init_from_empirical,
     jacobian_inv,
     latent_from_thickness,
+    layer_kernel,
     layer_loglik,
     tcd,
     thickness_from_latent,
@@ -34,7 +37,8 @@ def layer_data_from_columns(z_col, locations) -> LayerData:
 
 
 def _transform_params(mu, beta, p=0.5):
-    """Layer parameters for the transform tests; p = 0.5 makes tau exactly 0."""
+    """Layer parameters for the transform and moment tests; p = 0.5 makes tau
+    exactly 0."""
     return LayerParams(p=p, mu=mu, beta=beta, alpha=1.0)
 
 
@@ -255,13 +259,16 @@ def _layer_steps(n_sites, draw):
 
 
 def _assert_memo_matches_fresh(locs, steps):
-    """layer_term through one model's memo equals a fresh layer_loglik, bit for bit."""
+    """layer_term through one model's memo equals a fresh layer_loglik, bit for
+    bit, and the oracle's term built from scratch within 1e-10."""
     model = _untied_model(locs, 1)
     for z, params in steps:
         fresh = layer_loglik(layer_data_from_columns(z, locs), params,
                              cdf_tol=model.cdf_tol)
         assert model.layer_term(z, params) == fresh  # may build the kernel
         assert model.layer_term(z, params) == fresh  # a memo hit
+        want = oracles.layer_loglik(z, locs, params, model.cdf_tol)
+        assert fresh == pytest.approx(want, rel=0, abs=1e-10)
 
 
 class TestKernelMemo:
@@ -293,6 +300,13 @@ class TestKernelMemo:
             steps.append((z, base))
         _assert_memo_matches_fresh(locs, steps)
 
+    def test_kernel_arrays_are_read_only(self):
+        kernel = layer_kernel(np.array([[0.0, 0.0], [1.0, 0.5]]),
+                              np.array([[2.5, 2.0], [0.3, 3.0]]), MaternSpec(1.5, 2.0))
+        for arr in (kernel.chol, kernel.krig, kernel.cond_cov):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
     def test_p_mu_beta_reuse_the_kernel(self):
         locs = np.array([[0.0, 0.0], [1.0, 0.5], [2.5, 2.0]])
         model = _untied_model(locs, 1)
@@ -308,14 +322,14 @@ class TestKernelMemo:
 
 class TestMoments:
     def test_symmetric_case_values(self):
-        mean, var = thickness_moments(1.0, 0.5)
+        mean, var = thickness_moments(_transform_params(1.0, 1.0))
         assert mean == pytest.approx(2.0 * norm.pdf(0.0), abs=1e-9)  # ~0.797885
         assert var == pytest.approx(0.363380, abs=1e-6)
 
     def test_linear_scaling_in_mu(self):
-        m1, v1 = thickness_moments(1.0, 0.35)
+        m1, v1 = thickness_moments(_transform_params(1.0, 1.0, p=0.35))
         for mu in (0.5, 2.0, 7.0):
-            m, v = thickness_moments(mu, 0.35)
+            m, v = thickness_moments(_transform_params(mu, 1.0, p=0.35))
             assert m == pytest.approx(mu * m1, rel=1e-12)
             assert np.sqrt(v) == pytest.approx(mu * np.sqrt(v1), rel=1e-12)
 
@@ -327,7 +341,7 @@ class TestMoments:
                 tau = norm.ppf(1 - p)
                 w = rng.standard_normal(n)
                 zpos = mu * (w[w > tau] - tau)
-                mean, var = thickness_moments(mu, p)
+                mean, var = thickness_moments(_transform_params(mu, 1.0, p=p))
                 se_m = zpos.std() / np.sqrt(zpos.size)
                 assert abs(zpos.mean() - mean) < 3 * se_m
                 # variance of the sample variance ~ (m4 - v^2)/n
@@ -338,12 +352,12 @@ class TestMoments:
     def test_extreme_p(self):
         tau = norm.ppf(0.001)
         mu = 3.0
-        mean, _ = thickness_moments(mu, 0.999)
+        mean, _ = thickness_moments(_transform_params(mu, 1.0, p=0.999))
         assert mean == pytest.approx(mu * (norm.pdf(tau) / 0.999 - tau), abs=1e-9)
 
     def test_beta_not_one_unsupported(self):
         with pytest.raises(ParameterError):
-            thickness_moments(1.0, 0.5, beta=2.0)
+            thickness_moments(_transform_params(1.0, 2.0))
 
 
 class TestTcd:
@@ -393,7 +407,7 @@ class TestEmpiricalInit:
     def test_consistency_with_moments(self):
         # init inverts the beta=1 positive-part mean
         tau0, mu0 = init_from_empirical(0.4, 1.7)
-        mean, _ = thickness_moments(mu0, 0.4)
+        mean, _ = thickness_moments(_transform_params(mu0, 1.0, p=0.4))
         assert mean == pytest.approx(1.7, rel=1e-12)
 
     def test_invalid_inputs(self):

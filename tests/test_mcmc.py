@@ -13,6 +13,7 @@ from stratasim.core import BoreholeObservation, ParentSequence, observe
 from stratasim.errors import IncompatibleSequenceError, NumericError, ParameterError
 from stratasim import likelihood
 from stratasim.likelihood import LayerParams
+from stratasim.synthgen import SyntheticScenario, generate
 from stratasim.mcmc import (
     PARAM_KINDS,
     ChainState,
@@ -30,6 +31,7 @@ from stratasim.mcmc import (
     update_parameter,
 )
 
+import oracles
 from oracles import facies_shared
 
 
@@ -427,6 +429,33 @@ class TestRunChain:
         with pytest.raises(IncompatibleSequenceError, match="z"):
             run_chain([bad], SYNTH_PARENT, PriorSpec(), ProposalSpec(),
                       n_iter=1, burn_in=0, thin=1, seed=0)
+
+
+    def test_same_draws_as_a_chain_scored_by_the_oracle(self, monkeypatch):
+        # Twelve boreholes give orthants of up to 11 dimensions; at cdf_tol
+        # 1e-4 dozens of them run past the first QMC round.
+        scenario = SyntheticScenario(seed=0)
+        boreholes, _, _ = generate(scenario)
+
+        def chain():
+            return run_chain(boreholes, scenario.parent, PriorSpec(), ProposalSpec(),
+                             n_iter=12, burn_in=0, thin=2, seed=5, cdf_tol=1e-4,
+                             audit_every=6)
+
+        samples, diag = chain()
+        monkeypatch.setattr(
+            ThicknessModel, "layer_term",
+            lambda self, z_col, params: oracles.layer_loglik(
+                z_col, self.locations, params, self.cdf_tol),
+        )
+        want, want_diag = chain()
+        assert diag["param_accept"] == want_diag["param_accept"]
+        assert diag["move_accept"] == want_diag["move_accept"]
+        for got, ref in zip(samples, want, strict=True):
+            assert got.params == ref.params
+            assert all(np.array_equal(a.thicknesses, b.thicknesses)
+                       for a, b in zip(got.configs, ref.configs, strict=True))
+            assert got.loglik == pytest.approx(ref.loglik, abs=1e-9)
 
 
 class TestSelectMostLikely:
