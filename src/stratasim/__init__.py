@@ -37,8 +37,8 @@ from .fieldsim import (
     simulate_conditional,
     simulate_unconditional,
 )
-from .gaussnum import MaternSpec, matern, mvn_cdf_below, sample_gaussian_field
-from .likelihood import LayerParams, layer_loglik, tcd, thickness_moments
+from .gaussnum import MaternSpec, matern, mvn_cdf_below
+from .likelihood import LayerParams, tcd, thickness_moments
 from .mcmc import (
     PosteriorSample,
     PriorSpec,
@@ -81,9 +81,7 @@ __all__ = [
     "MaternSpec",
     "matern",
     "mvn_cdf_below",
-    "sample_gaussian_field",
     "LayerParams",
-    "layer_loglik",
     "tcd",
     "thickness_moments",
     "PosteriorSample",

@@ -114,14 +114,6 @@ class BoreholeObservation:
             prev = facies
         object.__setattr__(self, "records", tuple(recs))
 
-    @property
-    def location(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    @property
-    def total_thickness(self) -> float:
-        return float(np.sum([z for _, z in self.records]))
-
 
 @dataclass(frozen=True)
 class AugmentedConfiguration:

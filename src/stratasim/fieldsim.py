@@ -223,10 +223,11 @@ def simulate_conditional(
 
     Per layer: back-transform positive thicknesses to latent values, draw
     the zero-site latents from their truncated conditional law, then simulate
-    the field conditionally and transform back.  The field copies the
-    borehole latents exactly (``FieldKernel.hit``), but the round trip from
-    thickness to latent and back is not exact in floating point, so borehole
-    nodes are finally overwritten with the conditioning thicknesses.
+    the field conditionally and transform back.  The field kernel conditions
+    on the rows ``_match_boreholes`` chose, so the field copies the borehole
+    latents exactly, but the round trip from thickness to latent and back is
+    not exact in floating point, so borehole nodes are finally overwritten
+    with the conditioning thicknesses.
     """
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
@@ -238,7 +239,7 @@ def simulate_conditional(
 
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec, bh_pts)
+        kernel = gaussnum.field_kernel(pts, spec, bh_idx)
         bh_cov = None  # built on the first layer of this spec with a zero
         for j in layers:
             prm = params[j]

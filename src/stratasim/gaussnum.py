@@ -28,9 +28,9 @@ _JITTER_MAX = 1e-6
 
 _PROB_FLOOR = 1e-300
 
-# Most points, simulation points plus conditioning points, that one dense
-# field factor may cover: a 20 000-point factor alone takes 3.2 GB.  A
-# lattice embedding may have up to its square, the same memory.
+# Most points that one dense field factor may cover, conditioned rows
+# included: a 20 000-point factor alone takes 3.2 GB.  A lattice embedding
+# may have up to its square, the same memory.
 CHOLESKY_BUDGET = 20_000
 
 
@@ -355,53 +355,47 @@ class FieldKernel:
 
     Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
     Unconditional kernels hold only ``chol``, the factor of the points'
-    covariance.  Conditional kernels hold the factor of the joint covariance
-    over the conditioning points then the free points (None when every point
-    coincides with a conditioning point), its cross block ``s_gc``, the factor
-    ``chol_cc`` of the conditioning block, and for each point that coincides
-    with a conditioning point (``hit``) the index of that point (``source``).
+    covariance.  Conditional kernels hold ``cond``, the rows that take the
+    conditioning values as they are, the factor of the joint covariance over
+    those rows then the free rows (None when every row is conditioned), its
+    cross block ``s_gc`` and the factor ``chol_cc`` of the conditioning block.
     """
 
     n_points: int
     chol: np.ndarray | None
-    n_cond: int = 0
-    hit: np.ndarray | None = None
-    source: np.ndarray | None = None
+    cond: np.ndarray | None = None
     s_gc: np.ndarray | None = None
     chol_cc: np.ndarray | None = None
 
 
-def field_kernel(points, spec: MaternSpec, cond_points=None) -> FieldKernel:
-    """The spec-only part of ``sample_gaussian_field``: covariance and factors.
+def field_kernel(points, spec: MaternSpec, cond=None) -> FieldKernel:
+    """The covariance and factors of field draws over ``points``.
 
-    Raises ``CapacityError``, before any covariance is built, when the points
-    and the conditioning points together exceed ``CHOLESKY_BUDGET``.
+    ``cond`` lists the rows of ``points`` that carry a conditioning value, in
+    the order ``draw_field`` is given the values.  A conditioned row takes its
+    value directly: keeping it among the free rows would make the joint
+    covariance singular, and the kriging residual would sit at jitter level
+    instead of being exact.  Raises ``CapacityError``, before any covariance
+    is built, when the points exceed ``CHOLESKY_BUDGET``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    conditioned = cond_points is not None and len(cond_points) > 0
-    cpts = np.atleast_2d(np.asarray(cond_points, dtype=float)) if conditioned else None
-    total = n + (cpts.shape[0] if conditioned else 0)
-    if total > CHOLESKY_BUDGET:
+    if n > CHOLESKY_BUDGET:
         raise CapacityError(
-            f"{total} simulation points exceed the Cholesky budget {CHOLESKY_BUDGET}; "
+            f"{n} simulation points exceed the Cholesky budget {CHOLESKY_BUDGET}; "
             f"coarsen the grid"
         )
-    if not conditioned:
+    if cond is None or len(cond) == 0:
         return FieldKernel(n, chol_psd(cov_matrix(pts, spec)))
 
-    # Points coinciding with a conditioning point take its value directly;
-    # keeping them in the joint covariance would make it singular and the
-    # kriging residual would sit at jitter level instead of being exact.
-    d = cdist(pts, cpts)
-    hit = d.min(axis=1) < 1e-12
-    source = np.argmin(d[hit], axis=1)
-    nc = cpts.shape[0]
-    if np.all(hit):
-        return FieldKernel(n, None, nc, hit, source)
-    joint_cov = cov_matrix(np.vstack([cpts, pts[~hit]]), spec)
+    cond = np.asarray(cond, dtype=int)
+    free = np.delete(np.arange(n), cond)
+    if free.size == 0:
+        return FieldKernel(n, None, cond)
+    nc = cond.size
+    joint_cov = cov_matrix(np.vstack([pts[cond], pts[free]]), spec)
     return FieldKernel(
-        n, chol_psd(joint_cov), nc, hit, source,
+        n, chol_psd(joint_cov), cond,
         s_gc=joint_cov[nc:, :nc].copy(),
         chol_cc=chol_psd(joint_cov[:nc, :nc]),
     )
@@ -464,44 +458,38 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
     Lattice draws filter standard normals on the torus by the square-root
     spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
     (x index major).  Dense unconditional draws are the factor times
-    standard normals.  Conditional draws use conditioning-by-kriging
-    (unconditional draw plus kriging correction) and interpolate
-    ``cond_values`` exactly up to the factorization jitter.
+    standard normals.  Conditional draws copy ``cond_values`` into the
+    kernel's ``cond`` rows and fill the free rows by conditioning-by-kriging
+    (unconditional draw plus kriging correction).
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
         f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
         return f[: kernel.nx, : kernel.ny].ravel()
-    if kernel.n_cond == 0:
+    if kernel.cond is None:
         return kernel.chol @ rng.standard_normal(kernel.n_points)
     w = np.asarray(cond_values, dtype=float)
     out = np.empty(kernel.n_points)
-    out[kernel.hit] = w[kernel.source]
+    out[kernel.cond] = w
     if kernel.chol is None:
         return out
 
-    nc = kernel.n_cond
+    nc = kernel.cond.size
     f_star = kernel.chol @ rng.standard_normal(kernel.chol.shape[0])
 
     def krig(vals):
         t = np.linalg.solve(kernel.chol_cc, vals)
         return kernel.s_gc @ np.linalg.solve(kernel.chol_cc.T, t)
 
-    out[~kernel.hit] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
+    free = np.delete(np.arange(kernel.n_points), kernel.cond)
+    out[free] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
     return out
 
 
-def sample_gaussian_field(
-    points,
-    spec: MaternSpec,
-    rng,
-    cond_points=None,
-    cond_values=None,
-) -> np.ndarray:
-    """Standardized Gaussian field values at ``points``.
+def sample_gaussian_field(points, spec: MaternSpec, rng) -> np.ndarray:
+    """One unconditional standardized Gaussian field draw at ``points``.
 
     Builds a ``field_kernel`` and draws from it once with ``draw_field``;
     callers drawing several fields of one spec keep the kernel instead.
     """
-    kernel = field_kernel(points, spec, cond_points)
-    return draw_field(kernel, rng, cond_values)
+    return draw_field(field_kernel(points, spec), rng)

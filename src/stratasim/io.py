@@ -140,13 +140,29 @@ def save_truth(path, truth: list[AugmentedConfiguration], parent: ParentSequence
 
 
 def load_truth(path, parent: ParentSequence) -> list[AugmentedConfiguration]:
-    per_bh: dict[str, list[float]] = {}
+    """Ground-truth sidecar: one thickness per layer of ``parent`` per borehole.
+
+    A missing column, a thickness that is not a number, or a borehole whose
+    thickness count is not the parent's layer count raises ``DatasetError``
+    naming ``path:line``.
+    """
+    per_bh: dict[str, tuple[int, list[float]]] = {}  # first line, thicknesses
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            per_bh.setdefault(row["borehole_id"], []).append(float(row["thickness_m"]))
-    return [
-        AugmentedConfiguration(bid, np.array(zs)) for bid, zs in per_bh.items()
-    ]
+        reader = csv.DictReader(fh)
+        _check_columns(path, reader.fieldnames or [], ["borehole_id", "thickness_m"])
+        for ln, row in enumerate(reader, start=2):
+            try:
+                z = float(row["thickness_m"])
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
+            per_bh.setdefault(row["borehole_id"], (ln, []))[1].append(z)
+    for bid, (ln, zs) in per_bh.items():
+        if len(zs) != len(parent):
+            raise DatasetError(
+                f"{path}:{ln}: borehole {bid} has {len(zs)} thicknesses, "
+                f"the parent sequence has {len(parent)} layers"
+            )
+    return [AugmentedConfiguration(bid, np.array(zs)) for bid, (_, zs) in per_bh.items()]
 
 
 def save_samples(path, samples: list[PosteriorSample], groups: list[str]):

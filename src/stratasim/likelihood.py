@@ -73,27 +73,6 @@ class LayerParams:
         return MaternSpec(self.nu, self.alpha)
 
 
-@dataclass(frozen=True)
-class LayerData:
-    """One layer's thickness data across boreholes, split by sign."""
-
-    pos_z: np.ndarray       # positive thicknesses, shape (n_j,)
-    pos_locs: np.ndarray    # shape (n_j, 2)
-    zero_locs: np.ndarray   # shape (l_j, 2)
-
-    def __post_init__(self):
-        pos_z = np.atleast_1d(np.asarray(self.pos_z, dtype=float))
-        if np.any(pos_z <= 0):
-            raise ParameterError("pos_z must be strictly positive")
-        object.__setattr__(self, "pos_z", pos_z)
-        object.__setattr__(
-            self, "pos_locs", np.asarray(self.pos_locs, dtype=float).reshape(-1, 2)
-        )
-        object.__setattr__(
-            self, "zero_locs", np.asarray(self.zero_locs, dtype=float).reshape(-1, 2)
-        )
-
-
 def thickness_from_latent(w, params: LayerParams) -> np.ndarray:
     """Thickness mu (w - tau)^beta where the latent w exceeds tau, else 0."""
     w = np.asarray(w, dtype=float)
@@ -189,18 +168,22 @@ def kernel_loglik(
     return float(total)
 
 
-def layer_loglik(data: LayerData, params: LayerParams, cdf_tol: float = 1e-4) -> float:
-    """Complete-data log-likelihood of a single layer.
+def layer_loglik(z_col, locations, params: LayerParams, cdf_tol: float = 1e-4) -> float:
+    """Complete-data log-likelihood of one layer's thickness column.
 
-    Positive sites contribute the Gaussian log-density of
+    ``z_col`` holds the layer's thickness at each site of ``locations``, a
+    (k, 2) array.  Positive sites contribute the Gaussian log-density of
     w = latent_from_thickness(z) plus log-Jacobian terms; zero sites contribute
     the log orthant probability below tau of their conditional (kriged)
     Gaussian law.  Orthant probabilities are floored at 1e-300 before log.
     This builds the layer's ``LayerKernel`` and evaluates it once; callers
     that evaluate one support many times keep the kernel instead.
     """
-    kernel = layer_kernel(data.pos_locs, data.zero_locs, params.matern_spec)
-    return kernel_loglik(kernel, data.pos_z, params, cdf_tol)
+    z = np.asarray(z_col, dtype=float)
+    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
+    mask = z > 0
+    kernel = layer_kernel(locs[mask], locs[~mask], params.matern_spec)
+    return kernel_loglik(kernel, z[mask], params, cdf_tol)
 
 
 def thickness_moments(params: LayerParams):

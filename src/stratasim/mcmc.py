@@ -12,7 +12,7 @@ layer, so a proposal rescores only the layers it touches.  The model keeps a
 bounded memo of likelihood kernels keyed by (Matern spec, support mask):
 borehole locations never move, and p, mu and beta proposals leave both keys
 unchanged, so they reuse the kernel and skip the covariance, its Cholesky
-factor and the kriging of the zero sites.  Every ``audit_every`` iterations
+factor and the kriging of the zero sites.  Every ``_AUDIT_EVERY`` iterations
 ``_audit`` recomputes every term through an empty memo and compares it with
 the cached terms.
 """
@@ -369,6 +369,10 @@ def _accept_and_commit(
     return True
 
 
+# Iterations between audits: a full rescore through an empty memo.
+_AUDIT_EVERY = 1000
+
+
 def _audit(model: ThicknessModel, state: ChainState, tol: float = 1e-6):
     """Verify cached terms and observed-image invariance; raise on failure.
 
@@ -399,7 +403,6 @@ def run_chain(
     tie_by_facies: bool = True,
     cdf_tol: float = 1e-3,
     alpha_init: float = 1.0,
-    audit_every: int = 1000,
 ):
     """Full sampling loop; returns (samples, diagnostics).
 
@@ -441,7 +444,7 @@ def run_chain(
                 move_counts[kind][1] += 1
                 move_counts[kind][0] += int(outcome == "accepted")
         trace.append(state.loglik)
-        if audit_every and it % audit_every == 0:
+        if it % _AUDIT_EVERY == 0:
             _audit(model, state)
         if it > burn_in and (it - burn_in) % thin == 0:
             samples.append(

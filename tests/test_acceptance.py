@@ -215,7 +215,7 @@ def test_criterion_09_synthetic_recovery():
     samples, diag = run_chain(
         boreholes, parent, PriorSpec(), ProposalSpec(),
         n_iter=5000, burn_in=500, thin=10, seed=90210,
-        cdf_tol=1e-2, audit_every=1000,
+        cdf_tol=1e-2,
     )
     trace = np.array(diag["loglik_trace"][500:])
     ok = trace.std() > 0  # (a) non-degenerate after burn-in

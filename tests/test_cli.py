@@ -1,6 +1,5 @@
 """Run configuration parsing and the command-line workflows end to end."""
 
-import functools
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -194,8 +193,7 @@ class TestFit:
             return out
 
         monkeypatch.setattr(mcmc.ThicknessModel, "kernel", kernel)
-        monkeypatch.setattr(mcmc, "run_chain",
-                            functools.partial(mcmc.run_chain, audit_every=2))
+        monkeypatch.setattr(mcmc, "_AUDIT_EVERY", 2)
         cfg2 = tmp_path / "run2.cfg"
         cfg2.write_text(cfg.read_text().replace(f"output_dir = {root}/out",
                                                 f"output_dir = {tmp_path}/out2"))

@@ -129,9 +129,9 @@ def _spy_kernels(monkeypatch):
         calls.append(("lattice" if out is not None else "no embedding", spec))
         return out
 
-    def dense_spy(points, spec, cond_points=None):
+    def dense_spy(points, spec, cond=None):
         calls.append(("dense", spec))
-        return dense(points, spec, cond_points)
+        return dense(points, spec, cond)
 
     monkeypatch.setattr(gaussnum, "lattice_kernel", lattice_spy)
     monkeypatch.setattr(gaussnum, "field_kernel", dense_spy)
@@ -225,9 +225,22 @@ class TestConditional:
                 assert np.max(np.abs(got - cfg.thicknesses)) <= 1e-8
 
     def test_budget_counts_boreholes(self):
-        # the transect alone fits the budget; with the boreholes it does not
+        # the transect alone fits the budget; with the appended boreholes it
+        # does not
         grid = SimGrid.transect((0, 0), (1, 0), gaussnum.CHOLESKY_BUDGET - 2)
         locs, configs = _conditioning_setup()
+        with pytest.raises(CapacityError):
+            simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
+
+    def test_budget_counts_factor_points(self, monkeypatch):
+        # boreholes on nodes add no point to the factor; an appended one does
+        grid = SimGrid.regular((0, 0), 2.0, 8, 8)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", grid.n_nodes)
+        locs, configs = [[2.0, 2.0], [8.0, 8.0], [12.0, 4.0]], _conditioning_setup()[1]
+        stack = simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
+        assert stack.points.shape[0] == grid.n_nodes
+        locs.append([15.5, 15.5])  # more than half a cell beyond the last node
+        configs.append(AugmentedConfiguration("d", np.array([0.4, 0.0, 0.6])))
         with pytest.raises(CapacityError):
             simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
 

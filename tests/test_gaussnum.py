@@ -352,13 +352,17 @@ class TestSampleTruncatedMvnBits:
 
 
 class TestFieldKernel:
-    """A kernel serves many draws, each equal to a fresh per-call build."""
+    """A kernel serves many draws, each equal to a fresh per-call build.
+
+    The oracle finds the conditioned rows by their coordinates; the kernel is
+    given their indices.
+    """
 
     def _points(self):
         rng = np.random.default_rng(21)
-        cpts = rng.uniform(0, 10, (6, 2))
-        pts = np.vstack([rng.uniform(0, 10, (40, 2)), cpts[[1, 4]]])
-        return pts, cpts
+        pts = rng.uniform(0, 10, (46, 2))
+        cond = np.array([40, 3, 45, 17, 44, 8])  # conditioning order, not row order
+        return pts, cond
 
     def test_unconditional_draws_equal_fresh_builds(self):
         pts, _ = self._points()
@@ -370,40 +374,51 @@ class TestFieldKernel:
             assert _same_bits(got, want)
 
     def test_conditional_draws_equal_fresh_builds(self):
-        pts, cpts = self._points()
+        pts, cond = self._points()
         spec = MaternSpec(0.5, 4.0)
-        kernel = field_kernel(pts, spec, cpts)
+        kernel = field_kernel(pts, spec, cond)
         for seed in range(3):
-            vals = np.random.default_rng(50 + seed).standard_normal(len(cpts))
+            vals = np.random.default_rng(50 + seed).standard_normal(len(cond))
             got = draw_field(kernel, np.random.default_rng(seed), vals)
             want = oracles.sample_gaussian_field(
-                pts, spec, np.random.default_rng(seed), cpts, vals
+                pts, spec, np.random.default_rng(seed), pts[cond], vals
             )
             assert _same_bits(got, want)
-            assert np.array_equal(got[-2:], vals[[1, 4]])  # shared points copy
+            assert np.array_equal(got[cond], vals)  # conditioned rows copy
 
     def test_every_point_conditioned(self):
-        _, cpts = self._points()
-        kernel = field_kernel(cpts[::-1], MaternSpec(1.5, 2.0), cpts)
-        vals = np.arange(len(cpts), dtype=float)
-        rng = np.random.default_rng(0)
-        assert np.array_equal(draw_field(kernel, rng, vals), vals[::-1])
-        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
-
-    def test_wrapper_equals_kernel_draw(self):
-        pts, cpts = self._points()
+        pts, cond = self._points()
+        pts = pts[np.sort(cond)]
+        rows = np.array([5, 0, 3, 1, 4, 2])
         spec = MaternSpec(1.5, 2.0)
-        vals = np.linspace(-1.0, 1.0, len(cpts))
-        got = sample_gaussian_field(pts, spec, np.random.default_rng(4), cpts, vals)
-        want = draw_field(field_kernel(pts, spec, cpts), np.random.default_rng(4), vals)
+        kernel = field_kernel(pts, spec, rows)
+        vals = np.arange(len(rows), dtype=float)
+        rng = np.random.default_rng(0)
+        got = draw_field(kernel, rng, vals)
+        assert np.array_equal(got[rows], vals)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+        want = oracles.sample_gaussian_field(
+            pts, spec, np.random.default_rng(0), pts[rows], vals
+        )
         assert _same_bits(got, want)
 
-    def test_budget_counts_conditioning_points(self):
-        _, cpts = self._points()
-        pts = np.zeros((CHOLESKY_BUDGET + 1 - len(cpts), 2))
-        with pytest.raises(CapacityError):
-            field_kernel(pts, MaternSpec(1.5, 1.0), cpts)
-        assert field_kernel(pts[:2], MaternSpec(1.5, 1.0), cpts).n_cond == len(cpts)
+    def test_conditioning_interpolates(self):
+        # conditioned rows copy their values; free rows 1 m away stay close
+        rng = np.random.default_rng(11)
+        cpts = rng.uniform(0, 10, (5, 2))
+        cvals = rng.standard_normal(5)
+        pts = np.vstack([cpts, cpts + [1e-3, 0.0], rng.uniform(0, 10, (40, 2))])
+        kernel = field_kernel(pts, MaternSpec(1.5, 2.0), np.arange(5))
+        f = draw_field(kernel, rng, cvals)
+        assert np.array_equal(f[:5], cvals)
+        assert np.max(np.abs(f[5:10] - cvals)) < 1e-2
+
+    def test_wrapper_equals_kernel_draw(self):
+        pts, _ = self._points()
+        spec = MaternSpec(1.5, 2.0)
+        got = sample_gaussian_field(pts, spec, np.random.default_rng(4))
+        want = draw_field(field_kernel(pts, spec), np.random.default_rng(4))
+        assert _same_bits(got, want)
 
 
 class TestSampleGaussianField:
@@ -413,16 +428,6 @@ class TestSampleGaussianField:
         a = sample_gaussian_field(pts, spec, np.random.default_rng(9))
         b = sample_gaussian_field(pts, spec, np.random.default_rng(9))
         assert np.array_equal(a, b)
-
-    def test_conditioning_interpolates(self):
-        rng = np.random.default_rng(11)
-        cpts = rng.uniform(0, 10, (5, 2))
-        cvals = rng.standard_normal(5)
-        pts = np.vstack([cpts, rng.uniform(0, 10, (40, 2))])
-        f = sample_gaussian_field(
-            pts, MaternSpec(1.5, 2.0), rng, cond_points=cpts, cond_values=cvals
-        )
-        assert np.max(np.abs(f[:5] - cvals)) < 1e-6
 
     def test_budget_enforced(self):
         pts = np.zeros((CHOLESKY_BUDGET + 1, 2))

@@ -193,6 +193,20 @@ class TestChainFiles:
         for a, b in zip(got, truth):
             assert np.array_equal(a.thicknesses, b.thicknesses)
 
+    @pytest.mark.parametrize("text, where", [
+        ("borehole_id,layer_index,facies,thickness_m\n"
+         "a,0,Green,0.5\na,1,Red,thick\na,2,Blue,1.0\n", "truth.csv:3:"),
+        ("borehole_id,layer_index,facies\na,0,Green\n", "truth.csv:1:"),
+        ("borehole_id,layer_index,facies,thickness_m\n"
+         "a,0,Green,0.5\na,1,Red,0.0\na,2,Blue,1.0\n"
+         "b,0,Green,0.5\nb,1,Red,0.0\n", "truth.csv:5:"),
+    ], ids=["non-numeric", "missing-column", "short-vector"])
+    def test_malformed_truth_reports_line(self, tmp_path, text, where):
+        path = tmp_path / "truth.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=where):
+            io.load_truth(path, PARENT)
+
     def test_summary_and_diagnostics_written(self, tmp_path):
         io.save_summary(tmp_path / "summary.csv", _samples(), ["Green", "Red", "Blue"])
         text = (tmp_path / "summary.csv").read_text()

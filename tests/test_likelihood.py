@@ -13,7 +13,6 @@ import oracles
 from stratasim.errors import ParameterError
 from stratasim.gaussnum import MaternSpec
 from stratasim.likelihood import (
-    LayerData,
     LayerParams,
     init_from_empirical,
     jacobian_inv,
@@ -26,14 +25,6 @@ from stratasim.likelihood import (
 )
 from stratasim.core import AugmentedConfiguration, BoreholeObservation, ParentSequence
 from stratasim.mcmc import ThicknessModel
-
-
-def layer_data_from_columns(z_col, locations) -> LayerData:
-    """Partition one layer's thickness column by positivity."""
-    z = np.asarray(z_col, dtype=float)
-    locs = np.asarray(locations, dtype=float).reshape(-1, 2)
-    pos = z > 0
-    return LayerData(z[pos], locs[pos], locs[~pos])
 
 
 def _transform_params(mu, beta, p=0.5):
@@ -127,41 +118,36 @@ PARAMS = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0)
 class TestLayerLoglik:
     def test_single_positive_site(self):
         z = 0.7
-        data = LayerData([z], [[0.0, 0.0]], np.empty((0, 2)))
         w = latent_from_thickness(z, PARAMS)
         want = norm.logpdf(w) + np.log(jacobian_inv(z, PARAMS))
-        assert layer_loglik(data, PARAMS) == pytest.approx(want, abs=1e-12)
+        assert layer_loglik([z], [[0.0, 0.0]], PARAMS) == pytest.approx(want, abs=1e-12)
 
     def test_far_apart_independence_limit(self):
         z = 1.3
-        data = LayerData([z], [[0.0, 0.0]], [[1e7, 0.0]])
         w = latent_from_thickness(z, PARAMS)
         want = (
             norm.logpdf(w)
             + np.log(jacobian_inv(z, PARAMS))
             + np.log(1.0 - PARAMS.p)
         )
-        assert layer_loglik(data, PARAMS) == pytest.approx(want, abs=1e-6)
+        got = layer_loglik([z, 0.0], [[0.0, 0.0], [1e7, 0.0]], PARAMS)
+        assert got == pytest.approx(want, abs=1e-6)
 
     def test_two_independent_zeros(self):
-        data = LayerData(np.empty(0), np.empty((0, 2)), [[0.0, 0.0], [1e7, 0.0]])
         want = 2.0 * np.log(1.0 - PARAMS.p)
-        assert layer_loglik(data, PARAMS) == pytest.approx(want, abs=1e-4)
+        assert layer_loglik([0.0, 0.0], [[0.0, 0.0], [1e7, 0.0]], PARAMS) == pytest.approx(want, abs=1e-4)
 
     def test_no_sites(self):
-        data = LayerData(np.empty(0), np.empty((0, 2)), np.empty((0, 2)))
-        assert layer_loglik(data, PARAMS) == 0.0
+        assert layer_loglik([], np.empty((0, 2)), PARAMS) == 0.0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(21)
         locs = rng.uniform(0, 10, (6, 2))
         z = np.array([0.5, 0.0, 1.2, 0.0, 2.0, 0.7])
-        base = layer_loglik(layer_data_from_columns(z, locs), PARAMS, cdf_tol=1e-6)
+        base = layer_loglik(z, locs, PARAMS, cdf_tol=1e-6)
         for _ in range(3):
             perm = rng.permutation(6)
-            got = layer_loglik(
-                layer_data_from_columns(z[perm], locs[perm]), PARAMS, cdf_tol=1e-6
-            )
+            got = layer_loglik(z[perm], locs[perm], PARAMS, cdf_tol=1e-6)
             assert got == pytest.approx(base, abs=1e-6)
 
     def test_short_range_independent_site_sum(self):
@@ -173,7 +159,7 @@ class TestLayerLoglik:
             for i in range(5) for k in range(i + 1, 5)
         )
         params = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1e-6 * d_min)
-        got = layer_loglik(layer_data_from_columns(z, locs), params, cdf_tol=1e-6)
+        got = layer_loglik(z, locs, params, cdf_tol=1e-6)
         pos = z[z > 0]
         w = latent_from_thickness(pos, params)
         want = float(
@@ -204,7 +190,7 @@ class TestCompleteLoglik:
         ]
         model = _untied_model(locs, 1)
         total = float(np.sum(model.all_terms(configs, {"Blue.1": PARAMS})))
-        want = layer_loglik(layer_data_from_columns([0.8, 0.0], locs), PARAMS)
+        want = layer_loglik([0.8, 0.0], locs, PARAMS)
         assert total == pytest.approx(want, abs=1e-12)
 
     def test_additivity_over_layers(self):
@@ -216,9 +202,7 @@ class TestCompleteLoglik:
         ]
         model = _untied_model(locs, 2)
         total = float(np.sum(model.all_terms(configs, {"Blue.1": PARAMS, "Blue.2": p2})))
-        want = layer_loglik(
-            layer_data_from_columns([0.8, 0.0], locs), PARAMS
-        ) + layer_loglik(layer_data_from_columns([1.5, 0.4], locs), p2)
+        want = layer_loglik([0.8, 0.0], locs, PARAMS) + layer_loglik([1.5, 0.4], locs, p2)
         assert total == pytest.approx(want, abs=1e-12)
 
     def test_layer_permutation_symmetry(self):
@@ -263,8 +247,7 @@ def _assert_memo_matches_fresh(locs, steps):
     bit, and the oracle's term built from scratch within 1e-10."""
     model = _untied_model(locs, 1)
     for z, params in steps:
-        fresh = layer_loglik(layer_data_from_columns(z, locs), params,
-                             cdf_tol=model.cdf_tol)
+        fresh = layer_loglik(z, locs, params, cdf_tol=model.cdf_tol)
         assert model.layer_term(z, params) == fresh  # may build the kernel
         assert model.layer_term(z, params) == fresh  # a memo hit
         want = oracles.layer_loglik(z, locs, params, model.cdf_tol)

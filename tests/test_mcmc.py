@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 from stratasim.core import BoreholeObservation, ParentSequence, observe
 from stratasim.errors import IncompatibleSequenceError, NumericError, ParameterError
-from stratasim import likelihood
+from stratasim import likelihood, mcmc
 from stratasim.likelihood import LayerParams
 from stratasim.synthgen import SyntheticScenario, generate
 from stratasim.mcmc import (
@@ -395,10 +395,11 @@ class TestRunChain:
         )
         assert move_total == 25 * 3  # one proposal per borehole per iteration
 
-    def test_audit_runs_clean(self):
+    def test_audit_runs_clean(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "_AUDIT_EVERY", 10)
         run_chain(
             _toy_boreholes(), SYNTH_PARENT, PriorSpec(), ProposalSpec(),
-            n_iter=30, burn_in=0, thin=10, seed=9, cdf_tol=1e-2, audit_every=10,
+            n_iter=30, burn_in=0, thin=10, seed=9, cdf_tol=1e-2,
         )
 
     def test_kernel_memo_stays_bounded(self, monkeypatch):
@@ -439,9 +440,9 @@ class TestRunChain:
 
         def chain():
             return run_chain(boreholes, scenario.parent, PriorSpec(), ProposalSpec(),
-                             n_iter=12, burn_in=0, thin=2, seed=5, cdf_tol=1e-4,
-                             audit_every=6)
+                             n_iter=12, burn_in=0, thin=2, seed=5, cdf_tol=1e-4)
 
+        monkeypatch.setattr(mcmc, "_AUDIT_EVERY", 6)
         samples, diag = chain()
         monkeypatch.setattr(
             ThicknessModel, "layer_term",
