@@ -117,17 +117,23 @@ class BoreholeObservation:
 
 @dataclass(frozen=True)
 class AugmentedConfiguration:
-    """Full-length thickness vector over the parent sequence for one borehole."""
+    """Full-length thickness vector over the parent sequence for one borehole.
+
+    Every thickness is finite and >= 0; ``InvalidConfigurationError`` names
+    the first layer that is not, as its ``position``.
+    """
 
     borehole_id: str
     thicknesses: np.ndarray
 
     def __post_init__(self):
         z = np.array(self.thicknesses, dtype=float)
-        if np.any(z < 0):
-            raise InvalidConfigurationError(
-                f"borehole {self.borehole_id}: negative thickness in configuration"
-            )
+        bad = np.flatnonzero(~(z >= 0) | np.isinf(z))
+        if bad.size:
+            j = int(bad[0])
+            raise InvalidConfigurationError(f"borehole {self.borehole_id}: thickness "
+                                            f"{float(z[j])!r} of layer {j} is not "
+                                            "finite and >= 0", position=j)
         z.flags.writeable = False
         object.__setattr__(self, "thicknesses", z)
 
@@ -182,8 +188,6 @@ def observe(cfg: AugmentedConfiguration, parent: ParentSequence) -> list[tuple[s
         raise InvalidConfigurationError(
             f"configuration length {len(z)} != parent length {len(parent)}"
         )
-    if np.any(z < 0):
-        raise InvalidConfigurationError("negative thickness")
     records: list[tuple[str, float]] = []
     for j in range(len(parent)):
         if z[j] <= 0:

@@ -12,6 +12,10 @@ class ParameterError(StrataError):
 class InvalidConfigurationError(StrataError):
     """A thickness vector violates the configuration invariants."""
 
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
+
 
 class IncompatibleSequenceError(StrataError):
     """An observed facies sequence is not a subsequence of the parent."""

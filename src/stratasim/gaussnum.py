@@ -1,8 +1,9 @@
 """Gaussian numerical kernels.
 
 Matern correlations (half-integer closed forms), covariance assembly,
-Gaussian conditioning, multivariate normal log-density, orthant
-probabilities by randomized quasi-Monte Carlo, truncated multivariate
+Gaussian conditioning through one ``ConditionalKernel`` (the layer
+likelihood's kernel, which ``condition`` and ``mvn_logpdf`` also use),
+orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
 normal sampling, and random field simulation: dense Cholesky for any point
 set, FFT circulant embedding for regular grids.
 """
@@ -106,53 +107,69 @@ def chol_psd(a: np.ndarray) -> np.ndarray:
     )
 
 
-def condition(joint: np.ndarray, known_idx, unknown_idx, w_known):
-    """Conditional mean and covariance of the unknown block given the known one.
-
-    m = S_un S_nn^-1 w,  V = S_uu - S_un S_nn^-1 S_nu  (simple kriging with
-    zero prior mean).
-    """
-    joint = np.asarray(joint, dtype=float)
-    known_idx = np.asarray(known_idx, dtype=int)
-    unknown_idx = np.asarray(unknown_idx, dtype=int)
-    w = np.asarray(w_known, dtype=float)
-    if unknown_idx.size == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if known_idx.size == 0:
-        return np.zeros(unknown_idx.size), joint[np.ix_(unknown_idx, unknown_idx)].copy()
-    s_nn = joint[np.ix_(known_idx, known_idx)]
-    s_un = joint[np.ix_(unknown_idx, known_idx)]
-    s_uu = joint[np.ix_(unknown_idx, unknown_idx)]
-    return condition_chol(chol_psd(s_nn), s_un, s_uu, w)
-
-
-def condition_chol(chol_nn: np.ndarray, s_un: np.ndarray, s_uu: np.ndarray, w):
-    """``condition`` given the Cholesky factor of the known block S_nn."""
-    # one triangular solve gives both chol^-1 S_nu and chol^-1 w
-    tmp = np.linalg.solve(chol_nn, np.column_stack([s_un.T, w]))
-    m = tmp[:, :-1].T @ tmp[:, -1]
-    v = s_uu - tmp[:, :-1].T @ tmp[:, :-1]
-    v = 0.5 * (v + v.T)
-    return m, v
-
-
 def chol_logdet(chol: np.ndarray) -> float:
     """log det(L L') of a lower Cholesky factor L."""
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def mvn_logpdf(x, mean, cov) -> float:
-    """Multivariate Gaussian log-density via Cholesky factorization."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.broadcast_to(np.asarray(mean, dtype=float), x.shape)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    chol = chol_psd(cov)
-    return logpdf_whitened(np.linalg.solve(chol, x - mean), chol_logdet(chol))
-
-
 def logpdf_whitened(r: np.ndarray, logdet: float) -> float:
     """log N(x; 0, L L') given r = L^-1 x and ``chol_logdet(L)``."""
     return float(-0.5 * (r.size * np.log(2.0 * np.pi) + logdet + r @ r))
+
+
+@dataclass(frozen=True)
+class ConditionalKernel:
+    """The law of an unknown block u of a Gaussian given its known block n.
+
+    Built by ``conditional_kernel``; the arrays are read-only, so one kernel
+    can serve many evaluations.
+    """
+
+    chol: np.ndarray      # lower Cholesky factor L of S_nn, shape (n, n)
+    logdet: float         # log det S_nn
+    krig: np.ndarray      # L^-1 S_nu, shape (n, u)
+    cond_cov: np.ndarray  # S_uu - krig' krig, symmetrised, shape (u, u)
+
+    def whiten(self, w):
+        """(L^-1 w, krig' L^-1 w) of known values w: the whitened values and
+        the conditional (simple kriging, zero prior mean) mean of u."""
+        white = np.linalg.solve(self.chol, w)
+        return white, self.krig.T @ white
+
+
+def conditional_kernel(joint, n_known: int) -> ConditionalKernel:
+    """``ConditionalKernel`` of a joint covariance whose first ``n_known``
+    rows are the known block.  Either block may be empty."""
+    joint = np.asarray(joint, dtype=float)
+    chol = chol_psd(joint[:n_known, :n_known])
+    krig = np.linalg.solve(chol, joint[:n_known, n_known:])
+    cond_cov = joint[n_known:, n_known:] - krig.T @ krig
+    kernel = ConditionalKernel(
+        chol, chol_logdet(chol), krig, 0.5 * (cond_cov + cond_cov.T)
+    )
+    for arr in (kernel.chol, kernel.krig, kernel.cond_cov):
+        arr.flags.writeable = False
+    return kernel
+
+
+def condition(joint, known_idx, unknown_idx, w_known):
+    """Conditional mean and covariance of the unknown block given the known one.
+
+    m = S_un S_nn^-1 w,  V = S_uu - S_un S_nn^-1 S_nu  (simple kriging with
+    zero prior mean), from the ``conditional_kernel`` of the two blocks.
+    """
+    idx = np.concatenate([known_idx, unknown_idx]).astype(int)
+    kernel = conditional_kernel(np.asarray(joint)[np.ix_(idx, idx)], len(known_idx))
+    return kernel.whiten(w_known)[1], kernel.cond_cov
+
+
+def mvn_logpdf(x, mean, cov) -> float:
+    """Multivariate Gaussian log-density, from the ``conditional_kernel``
+    whose known block is all of ``cov``."""
+    cov = np.atleast_2d(cov)
+    kernel = conditional_kernel(cov, len(cov))
+    r, _ = kernel.whiten(np.atleast_1d(np.asarray(x, dtype=float)) - mean)
+    return logpdf_whitened(r, kernel.logdet)
 
 
 _SOBOL_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -18,7 +18,7 @@ from .core import (
     ParentSequence,
     valid_record_thickness,
 )
-from .errors import DatasetError, ParameterError
+from .errors import DatasetError, InvalidConfigurationError, ParameterError
 from .fieldsim import LayerStack
 from .likelihood import PARAM_KINDS, LayerParams
 from .mcmc import PosteriorSample
@@ -139,14 +139,23 @@ def save_truth(path, truth: list[AugmentedConfiguration], parent: ParentSequence
                 writer.writerow([cfg.borehole_id, j, parent.layers[j], _fmt(z)])
 
 
+def _configuration(path, bid, rows) -> AugmentedConfiguration:
+    """``AugmentedConfiguration`` of one borehole's (line, thickness) rows of
+    ``path``; a thickness it rejects raises ``DatasetError`` naming its line."""
+    try:
+        return AugmentedConfiguration(bid, np.array([z for _, z in rows]))
+    except InvalidConfigurationError as exc:
+        raise DatasetError(f"{path}:{rows[exc.position][0]}: {exc}") from exc
+
+
 def load_truth(path, parent: ParentSequence) -> list[AugmentedConfiguration]:
     """Ground-truth sidecar: one thickness per layer of ``parent`` per borehole.
 
-    A missing column, a thickness that is not a number, or a borehole whose
-    thickness count is not the parent's layer count raises ``DatasetError``
-    naming ``path:line``.
+    A missing column, a thickness that is not a number, not finite or
+    negative, or a borehole whose thickness count is not the parent's layer
+    count raises ``DatasetError`` naming ``path:line``.
     """
-    per_bh: dict[str, tuple[int, list[float]]] = {}  # first line, thicknesses
+    per_bh: dict[str, list[tuple[int, float]]] = {}  # (line, thickness) rows
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         _check_columns(path, reader.fieldnames or [], ["borehole_id", "thickness_m"])
@@ -155,14 +164,14 @@ def load_truth(path, parent: ParentSequence) -> list[AugmentedConfiguration]:
                 z = float(row["thickness_m"])
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
-            per_bh.setdefault(row["borehole_id"], (ln, []))[1].append(z)
-    for bid, (ln, zs) in per_bh.items():
-        if len(zs) != len(parent):
+            per_bh.setdefault(row["borehole_id"], []).append((ln, z))
+    for bid, rows in per_bh.items():
+        if len(rows) != len(parent):
             raise DatasetError(
-                f"{path}:{ln}: borehole {bid} has {len(zs)} thicknesses, "
+                f"{path}:{rows[0][0]}: borehole {bid} has {len(rows)} thicknesses, "
                 f"the parent sequence has {len(parent)} layers"
             )
-    return [AugmentedConfiguration(bid, np.array(zs)) for bid, (_, zs) in per_bh.items()]
+    return [_configuration(path, bid, rows) for bid, rows in per_bh.items()]
 
 
 def save_samples(path, samples: list[PosteriorSample], groups: list[str]):
@@ -235,9 +244,10 @@ def load_configurations(path):
     """Returns {iteration: [AugmentedConfiguration, ...]} in file order.
 
     A missing column or a row whose iteration is not an integer or whose
-    thickness is not a number raises ``DatasetError`` naming ``path:line``.
+    thickness is not a number, not finite or negative raises ``DatasetError``
+    naming ``path:line``.
     """
-    acc: dict[int, dict[str, list[float]]] = {}
+    acc: dict[int, dict[str, list[tuple[int, float]]]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         _check_columns(path, reader.fieldnames or [],
@@ -248,9 +258,9 @@ def load_configurations(path):
                 z = float(row["thickness_m"])
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{ln}: malformed row ({exc})") from exc
-            acc.setdefault(it, {}).setdefault(row["borehole_id"], []).append(z)
+            acc.setdefault(it, {}).setdefault(row["borehole_id"], []).append((ln, z))
     return {
-        it: [AugmentedConfiguration(bid, np.array(zs)) for bid, zs in per.items()]
+        it: [_configuration(path, bid, rows) for bid, rows in per.items()]
         for it, per in acc.items()
     }
 

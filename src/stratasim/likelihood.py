@@ -11,11 +11,14 @@ zero-site latents sit below tau given the positive ones.  The complete-data
 log-likelihood is the sum of the layer terms, ``ThicknessModel.all_terms``.
 
 A layer term splits in two.  ``layer_kernel`` builds what depends only on
-the Matern spec and the support (which sites are positive): the Cholesky
-factor of the positive block, the zero sites' kriging weights and their
-conditional covariance.  ``kernel_loglik`` evaluates the thicknesses against
-a kernel.  p, mu and beta leave the kernel unchanged, so the sampler keeps
-kernels (see ``ThicknessModel``).
+the Matern spec and the support (which sites are positive): the
+``gaussnum.ConditionalKernel`` of the zero sites given the positive ones,
+which holds the Cholesky factor of the positive block, the zero sites'
+kriging weights and their conditional covariance.  Conditional simulation
+draws the zero-site latents from this same law (``gaussnum.condition``).
+``kernel_loglik`` evaluates the thicknesses against a kernel.  p, mu and
+beta leave the kernel unchanged, so the sampler keeps kernels (see
+``ThicknessModel``).
 """
 
 from __future__ import annotations
@@ -97,70 +100,30 @@ def jacobian_inv(z, params: LayerParams):
     return (z / mu) ** (1.0 / beta - 1.0) / (mu * beta)
 
 
-@dataclass(frozen=True)
-class LayerKernel:
-    """The part of a layer's likelihood that the thicknesses do not change.
-
-    It depends on the Matern spec and on which sites are positive, over fixed
-    site locations.  With S_nn the covariance of the positive sites (n) and
-    L its Cholesky factor, it holds L, log det S_nn, the kriging weights
-    krig = L^-1 S_nu of the zero sites (u), and their conditional covariance
-    given the positive sites, S_uu - krig' krig.  The arrays are read-only,
-    so one kernel can serve many evaluations.
-    """
-
-    chol: np.ndarray      # lower Cholesky factor L of S_nn, shape (n, n)
-    logdet: float         # log det S_nn
-    krig: np.ndarray      # L^-1 S_nu, shape (n, u)
-    cond_cov: np.ndarray  # S_uu - krig' krig, symmetrised, shape (u, u)
-
-
-def layer_kernel(pos_locs, zero_locs, spec: MaternSpec) -> LayerKernel:
-    """Build the ``LayerKernel`` of one support; locations are (k, 2) arrays."""
-    n_pos = pos_locs.shape[0]
-    if n_pos + zero_locs.shape[0] == 0:
-        joint = np.zeros((0, 0))
-    else:
-        joint = gaussnum.cov_matrix(np.vstack([pos_locs, zero_locs]), spec)
-    s_nn = joint[:n_pos, :n_pos].copy()
-    chol = gaussnum.chol_psd(s_nn) if n_pos else s_nn
-    krig = np.linalg.solve(chol, joint[:n_pos, n_pos:])
-    cond_cov = joint[n_pos:, n_pos:] - krig.T @ krig
-    kernel = LayerKernel(
-        chol=chol,
-        logdet=gaussnum.chol_logdet(chol),
-        krig=krig,
-        cond_cov=0.5 * (cond_cov + cond_cov.T),
-    )
-    for arr in (kernel.chol, kernel.krig, kernel.cond_cov):
-        arr.flags.writeable = False
-    return kernel
+def layer_kernel(pos_locs, zero_locs, spec: MaternSpec) -> gaussnum.ConditionalKernel:
+    """The ``gaussnum.ConditionalKernel`` of one support: the zero sites'
+    law given the positive sites; locations are (k, 2) arrays."""
+    joint = gaussnum.cov_matrix(np.vstack([pos_locs, zero_locs]), spec)
+    return gaussnum.conditional_kernel(joint, pos_locs.shape[0])
 
 
 def kernel_loglik(
-    kernel: LayerKernel, pos_z, params: LayerParams, cdf_tol: float = 1e-4
+    kernel: gaussnum.ConditionalKernel, pos_z, params: LayerParams, cdf_tol: float
 ) -> float:
     """``layer_loglik`` of the positive thicknesses ``pos_z`` under ``kernel``.
 
-    ``pos_z`` lists the positive sites in the kernel's order.  One solve
-    against the factor gives both the positive sites' log-density and the
-    zero sites' kriged mean.
+    ``pos_z`` lists the positive sites in the kernel's order.  One whitening
+    solve gives both the positive sites' log-density and the zero sites'
+    kriged mean.
     """
     pos_z = np.atleast_1d(np.asarray(pos_z, dtype=float))
-    n_zero = kernel.cond_cov.shape[0]
-    total = 0.0
-    mean = np.zeros(n_zero)
-    if pos_z.size:
-        w = latent_from_thickness(pos_z, params)
-        white = np.linalg.solve(kernel.chol, w)
-        total = gaussnum.logpdf_whitened(white, kernel.logdet)
-        total += float(np.sum(np.log(jacobian_inv(pos_z, params))))
-        mean = kernel.krig.T @ white
-
-    if n_zero > 0:
+    white, mean = kernel.whiten(latent_from_thickness(pos_z, params))
+    total = gaussnum.logpdf_whitened(white, kernel.logdet)
+    total += float(np.sum(np.log(jacobian_inv(pos_z, params))))
+    if mean.size:
         try:
             prob, _ = gaussnum.mvn_cdf_below(
-                np.full(n_zero, params.tau), mean, kernel.cond_cov, tol=cdf_tol
+                np.full(mean.size, params.tau), mean, kernel.cond_cov, tol=cdf_tol
             )
         except NumericError as exc:
             raise NumericError(f"orthant probability failed: {exc}") from exc
@@ -176,7 +139,7 @@ def layer_loglik(z_col, locations, params: LayerParams, cdf_tol: float = 1e-4) -
     w = latent_from_thickness(z) plus log-Jacobian terms; zero sites contribute
     the log orthant probability below tau of their conditional (kriged)
     Gaussian law.  Orthant probabilities are floored at 1e-300 before log.
-    This builds the layer's ``LayerKernel`` and evaluates it once; callers
+    This builds the layer's ``layer_kernel`` and evaluates it once; callers
     that evaluate one support many times keep the kernel instead.
     """
     z = np.asarray(z_col, dtype=float)

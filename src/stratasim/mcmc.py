@@ -45,7 +45,7 @@ from .errors import (
     ParameterError,
     StrataError,
 )
-from .gaussnum import MaternSpec
+from .gaussnum import ConditionalKernel, MaternSpec
 from .likelihood import PARAM_KINDS, LayerParams, init_from_empirical
 
 log = logging.getLogger(__name__)
@@ -131,7 +131,7 @@ class ThicknessModel:
     parameter group (the synthetic-experiment convention); otherwise each
     layer is its own group.
 
-    ``layer_term`` looks its ``likelihood.LayerKernel`` up in a memo keyed by
+    ``layer_term`` looks its ``likelihood.layer_kernel`` up in a memo keyed by
     the layer's Matern spec (alpha, nu) and support mask over the fixed
     borehole locations.  The memo belongs to this model and drops its least
     recently used kernel beyond ``kernel_capacity`` entries: twice the layers
@@ -190,7 +190,7 @@ class ThicknessModel:
         twin._kernels = OrderedDict()
         return twin
 
-    def kernel(self, spec: MaternSpec, mask: np.ndarray) -> likelihood.LayerKernel:
+    def kernel(self, spec: MaternSpec, mask: np.ndarray) -> ConditionalKernel:
         """The memoised kernel of one (Matern spec, positive-site mask)."""
         key = (spec, mask.tobytes())
         kernel = self._kernels.get(key)
@@ -248,7 +248,6 @@ class ChainState:
     params: dict[str, LayerParams]
     configs: list[AugmentedConfiguration]
     layer_terms: np.ndarray
-    iteration: int = 0
 
     @property
     def loglik(self) -> float:
@@ -428,7 +427,6 @@ def run_chain(
     samples: list[PosteriorSample] = []
 
     for it in range(1, n_iter + 1):
-        state.iteration = it
         for which in PARAM_KINDS:
             for group in model.groups:
                 accepted = update_parameter(

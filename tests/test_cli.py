@@ -444,6 +444,17 @@ class TestMalformedChainFiles:
         out, cfg = _copy_chain(workspace, tmp_path, configurations=edit)
         self._exit_2_at(cfg, f"{out / 'configurations.csv'}:5:", capsys)
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_thickness_not_finite_and_nonnegative(self, workspace, tmp_path, capsys,
+                                                  value):
+        def edit(text):
+            lines = text.splitlines()
+            lines[4] = lines[4].rsplit(",", 1)[0] + "," + value
+            return "\n".join(lines) + "\n"
+
+        out, cfg = _copy_chain(workspace, tmp_path, configurations=edit)
+        self._exit_2_at(cfg, f"{out / 'configurations.csv'}:5:", capsys)
+
     def test_group_without_all_columns(self, workspace, tmp_path, capsys):
         def edit(text):
             return text.replace("mu_Blue", "mean_Blue", 1)

@@ -84,6 +84,12 @@ class TestObserve:
         with pytest.raises(InvalidConfigurationError):
             cfg([1.0, -0.5, 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_thickness_must_be_finite_and_nonnegative(self, bad):
+        with pytest.raises(InvalidConfigurationError, match="layer 2") as info:
+            cfg([1.0, 0.0, bad, np.nan, 0])
+        assert info.value.position == 2
+
     def test_length_mismatch(self):
         with pytest.raises(InvalidConfigurationError):
             observe(cfg([1.0, 2.0]), TABLE_PARENT)

@@ -200,12 +200,25 @@ class TestChainFiles:
         ("borehole_id,layer_index,facies,thickness_m\n"
          "a,0,Green,0.5\na,1,Red,0.0\na,2,Blue,1.0\n"
          "b,0,Green,0.5\nb,1,Red,0.0\n", "truth.csv:5:"),
-    ], ids=["non-numeric", "missing-column", "short-vector"])
+        *[("borehole_id,layer_index,facies,thickness_m\n"
+           "a,0,Green,0.5\na,1,Red,0.0\na,2,Blue,1.0\n"
+           f"b,0,Green,0.5\nb,1,Red,{value}\nb,2,Blue,1.0\n",
+           "truth.csv:6: borehole b: thickness") for value in ("nan", "-0.5", "inf")],
+    ], ids=["non-numeric", "missing-column", "short-vector", "nan", "negative", "inf"])
     def test_malformed_truth_reports_line(self, tmp_path, text, where):
         path = tmp_path / "truth.csv"
         path.write_text(text)
         with pytest.raises(DatasetError, match=where):
             io.load_truth(path, PARENT)
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
+    def test_configuration_thickness_must_be_finite_and_nonnegative(self, tmp_path, value):
+        path = tmp_path / "configs.csv"
+        path.write_text("iteration,borehole_id,layer_index,thickness_m\n"
+                        "10,a,0,0.5\n10,a,1,1.0\n10,a,2,0.0\n"
+                        f"20,a,0,0.5\n20,a,1,1.0\n20,a,2,{value}\n")
+        with pytest.raises(DatasetError, match="configs.csv:7: borehole a: thickness"):
+            io.load_configurations(path)
 
     def test_summary_and_diagnostics_written(self, tmp_path):
         io.save_summary(tmp_path / "summary.csv", _samples(), ["Green", "Red", "Blue"])

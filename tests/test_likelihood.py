@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 import oracles
 from stratasim.errors import ParameterError
-from stratasim.gaussnum import MaternSpec
+from stratasim.gaussnum import ALLOWED_NU, MaternSpec, condition, cov_matrix
 from stratasim.likelihood import (
     LayerParams,
     init_from_empirical,
@@ -244,14 +244,20 @@ def _layer_steps(n_sites, draw):
 
 def _assert_memo_matches_fresh(locs, steps):
     """layer_term through one model's memo equals a fresh layer_loglik, bit for
-    bit, and the oracle's term built from scratch within 1e-10."""
+    bit, and the oracle's term built from scratch within 1e-12 relative (or
+    1e-10 absolute).
+
+    The oracle orders the same arithmetic differently, so on an
+    ill-conditioned layer a term of several hundred differs from it by about
+    1e-13 relative, more than 1e-10 absolute.
+    """
     model = _untied_model(locs, 1)
     for z, params in steps:
         fresh = layer_loglik(z, locs, params, cdf_tol=model.cdf_tol)
         assert model.layer_term(z, params) == fresh  # may build the kernel
         assert model.layer_term(z, params) == fresh  # a memo hit
         want = oracles.layer_loglik(z, locs, params, model.cdf_tol)
-        assert fresh == pytest.approx(want, rel=0, abs=1e-10)
+        assert fresh == pytest.approx(want, rel=1e-12, abs=1e-10)
 
 
 class TestKernelMemo:
@@ -265,6 +271,13 @@ class TestKernelMemo:
                                   min_size=n_sites, max_size=n_sites), label="cells")
         locs = 0.7 * np.array(sorted(cells), dtype=float)
         _assert_memo_matches_fresh(locs, _layer_steps(n_sites, data.draw))
+
+    def test_ill_conditioned_layer_matches_the_oracle(self):
+        # a term of -693.6, 1.2e-10 (1.7e-13 relative) from the oracle's
+        locs = 0.7 * np.array([[0.0, 0.0], [11.0, 8.0], [13.0, 7.0], [15.0, 5.0]])
+        z = np.array([1.0, 0.0, 1.0, 0.5])
+        _assert_memo_matches_fresh(locs, [(z, LayerParams(p=0.5, mu=1.0, beta=1.0,
+                                                          alpha=19.0))])
 
     @pytest.mark.parametrize("mask", [
         [False, False, False, False],  # n_pos == 0
@@ -301,6 +314,28 @@ class TestKernelMemo:
         model.layer_term(z, replace(PARAMS, alpha=4.0))
         model.layer_term(np.array([0.4, 0.3, 0.0]), PARAMS)
         assert len(model._kernels) == 3
+
+
+class TestSimulatorLaw:
+    """Conditional simulation draws the zero-site latents from the law that
+    the likelihood integrates: ``condition`` over the boreholes' covariance
+    gives the layer kernel's kriged mean and covariance, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_condition_is_the_layer_kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        locs = rng.uniform(0.0, 20.0, (n, 2))
+        pos = rng.random(n) < 0.5
+        if seed < 2:  # seed 0: an empty known block; seed 1: an empty unknown block
+            pos[:] = bool(seed)
+        spec = MaternSpec(float(rng.choice(ALLOWED_NU)), float(rng.uniform(0.5, 30.0)))
+        w = rng.standard_normal(int(pos.sum()))
+        m, v = condition(cov_matrix(locs, spec), np.flatnonzero(pos),
+                         np.flatnonzero(~pos), w)
+        kernel = layer_kernel(locs[pos], locs[~pos], spec)
+        assert np.array_equal(m, kernel.whiten(w)[1])
+        assert np.array_equal(v, kernel.cond_cov)
 
 
 class TestMoments:
