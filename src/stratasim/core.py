@@ -140,10 +140,6 @@ class AugmentedConfiguration:
     def __len__(self):
         return len(self.thicknesses)
 
-    def support(self) -> frozenset[int]:
-        """Indices of layers with positive thickness."""
-        return frozenset(int(j) for j in np.nonzero(self.thicknesses > 0)[0])
-
     def with_thicknesses(self, z) -> "AugmentedConfiguration":
         return AugmentedConfiguration(self.borehole_id, z)
 

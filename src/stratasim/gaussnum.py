@@ -371,29 +371,29 @@ class FieldKernel:
     """What a Gaussian field draw needs from the points and the Matern spec.
 
     Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
-    Unconditional kernels hold only ``chol``, the factor of the points'
-    covariance.  Conditional kernels hold ``cond``, the rows that take the
-    conditioning values as they are, the factor of the joint covariance over
-    those rows then the free rows (None when every row is conditioned), its
-    cross block ``s_gc`` and the factor ``chol_cc`` of the conditioning block.
+    ``cond`` lists the rows that take the conditioning values as they are;
+    it is empty for an unconditional kernel.  ``chol`` is the one lower
+    Cholesky factor L = [[L_cc, 0], [L_gc, L_gg]] of the covariance over
+    the ``cond`` rows, then the free rows, or None when every row is
+    conditioned.  Its blocks hold the conditional law: given the values w
+    of the ``cond`` rows, the free rows are L_gc L_cc^-1 w + L_gg z, with z
+    standard normal.
     """
 
     n_points: int
     chol: np.ndarray | None
-    cond: np.ndarray | None = None
-    s_gc: np.ndarray | None = None
-    chol_cc: np.ndarray | None = None
+    cond: np.ndarray
 
 
 def field_kernel(points, spec: MaternSpec, cond=None) -> FieldKernel:
-    """The covariance and factors of field draws over ``points``.
+    """The factor of field draws over ``points``.
 
     ``cond`` lists the rows of ``points`` that carry a conditioning value, in
-    the order ``draw_field`` is given the values.  A conditioned row takes its
-    value directly: keeping it among the free rows would make the joint
-    covariance singular, and the kriging residual would sit at jitter level
-    instead of being exact.  Raises ``CapacityError``, before any covariance
-    is built, when the points exceed ``CHOLESKY_BUDGET``.
+    the order ``draw_field`` is given the values; None or empty means an
+    unconditional field.  A conditioned row takes its value directly:
+    keeping it among the free rows would make the joint covariance singular.
+    Raises ``CapacityError``, before any covariance is built, when the
+    points exceed ``CHOLESKY_BUDGET``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
@@ -402,20 +402,12 @@ def field_kernel(points, spec: MaternSpec, cond=None) -> FieldKernel:
             f"{n} simulation points exceed the Cholesky budget {CHOLESKY_BUDGET}; "
             f"coarsen the grid"
         )
-    if cond is None or len(cond) == 0:
-        return FieldKernel(n, chol_psd(cov_matrix(pts, spec)))
-
-    cond = np.asarray(cond, dtype=int)
+    cond = np.asarray(() if cond is None else cond, dtype=int)
     free = np.delete(np.arange(n), cond)
     if free.size == 0:
         return FieldKernel(n, None, cond)
-    nc = cond.size
     joint_cov = cov_matrix(np.vstack([pts[cond], pts[free]]), spec)
-    return FieldKernel(
-        n, chol_psd(joint_cov), cond,
-        s_gc=joint_cov[nc:, :nc].copy(),
-        chol_cc=chol_psd(joint_cov[:nc, :nc]),
-    )
+    return FieldKernel(n, chol_psd(joint_cov), cond)
 
 
 @dataclass(frozen=True)
@@ -474,32 +466,25 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
 
     Lattice draws filter standard normals on the torus by the square-root
     spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
-    (x index major).  Dense unconditional draws are the factor times
-    standard normals.  Conditional draws copy ``cond_values`` into the
-    kernel's ``cond`` rows and fill the free rows by conditioning-by-kriging
-    (unconditional draw plus kriging correction).
+    (x index major).  Dense draws copy ``cond_values`` w into the kernel's
+    ``cond`` rows, draw ``chol.shape[0]`` standard normals z and set the free
+    rows to L_gc L_cc^-1 w + L_gg z_g from the blocks of the factor, z_g
+    being the normals past the first ``len(cond)``.  With nothing conditioned
+    that is ``chol @ z``.
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
         f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
         return f[: kernel.nx, : kernel.ny].ravel()
-    if kernel.cond is None:
-        return kernel.chol @ rng.standard_normal(kernel.n_points)
-    w = np.asarray(cond_values, dtype=float)
+    w = np.asarray(() if cond_values is None else cond_values, dtype=float)
     out = np.empty(kernel.n_points)
     out[kernel.cond] = w
     if kernel.chol is None:
         return out
-
-    nc = kernel.cond.size
-    f_star = kernel.chol @ rng.standard_normal(kernel.chol.shape[0])
-
-    def krig(vals):
-        t = np.linalg.solve(kernel.chol_cc, vals)
-        return kernel.s_gc @ np.linalg.solve(kernel.chol_cc.T, t)
-
+    chol, nc = kernel.chol, kernel.cond.size
+    z = rng.standard_normal(chol.shape[0])
     free = np.delete(np.arange(kernel.n_points), kernel.cond)
-    out[free] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
+    out[free] = chol[nc:, :nc] @ np.linalg.solve(chol[:nc, :nc], w) + chol[nc:, nc:] @ z[nc:]
     return out
 
 

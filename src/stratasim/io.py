@@ -36,10 +36,21 @@ def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
+def _open(path):
+    """``path`` opened for reading, its newlines left as ``csv`` wants them;
+    a file that cannot be opened raises ``DatasetError``."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read ({exc})") from exc
+
+
 def load_parent(path) -> ParentSequence:
     """Parent sequence file: one facies code per line, top-down."""
     lines = []
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with _open(path) as fh:
+        text = fh.read()
+    for raw in text.splitlines():
         code = raw.strip()
         if not code or code.startswith("#"):
             continue
@@ -64,7 +75,7 @@ def load_boreholes(path) -> list[BoreholeObservation]:
     """
     seen: dict[str, dict] = {}
     prev = None
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != BOREHOLE_HEADER:
             raise DatasetError(
@@ -156,7 +167,7 @@ def load_truth(path, parent: ParentSequence) -> list[AugmentedConfiguration]:
     count raises ``DatasetError`` naming ``path:line``.
     """
     per_bh: dict[str, list[tuple[int, float]]] = {}  # (line, thickness) rows
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.DictReader(fh)
         _check_columns(path, reader.fieldnames or [], ["borehole_id", "thickness_m"])
         for ln, row in enumerate(reader, start=2):
@@ -204,7 +215,7 @@ def load_samples(path):
     whose values do not parse as an integer iteration and valid parameters,
     raises ``DatasetError`` naming ``path:line``.
     """
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.DictReader(fh)
         if not reader.fieldnames or reader.fieldnames[0] != "iteration":
             raise DatasetError(f"{path}: not a samples file")
@@ -248,7 +259,7 @@ def load_configurations(path):
     naming ``path:line``.
     """
     acc: dict[int, dict[str, list[tuple[int, float]]]] = {}
-    with open(path, newline="") as fh:
+    with _open(path) as fh:
         reader = csv.DictReader(fh)
         _check_columns(path, reader.fieldnames or [],
                        ["iteration", "borehole_id", "thickness_m"])

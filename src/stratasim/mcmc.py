@@ -43,7 +43,6 @@ from .errors import (
     IncompatibleSequenceError,
     NumericError,
     ParameterError,
-    StrataError,
 )
 from .gaussnum import ConditionalKernel, MaternSpec
 from .likelihood import PARAM_KINDS, LayerParams, init_from_empirical
@@ -344,9 +343,11 @@ def _accept_and_commit(
     """Rescore ``layers`` under a candidate (configs, params); accept and commit.
 
     A numeric failure while scoring rejects the candidate without drawing a
-    uniform.  Otherwise ``metropolis_accept`` decides on the likelihood ratio
-    of the rescored layers plus ``log_prior_ratio``; on acceptance the
-    candidate and its layer terms replace the state's.
+    uniform; any other error, such as a ``CapacityError``, ends the chain, so
+    no configuration is silently left out of the posterior.  Otherwise
+    ``metropolis_accept`` decides on the likelihood ratio of the rescored
+    layers plus ``log_prior_ratio``; on acceptance the candidate and its
+    layer terms replace the state's.
     """
     try:
         new_terms = {
@@ -355,7 +356,7 @@ def _accept_and_commit(
             )
             for j in layers
         }
-    except (NumericError, StrataError) as exc:
+    except NumericError as exc:
         log.warning("%s proposal rejected after numeric failure: %s", what, exc)
         return False
     delta = sum(new_terms[j] - state.layer_terms[j] for j in layers)

@@ -47,6 +47,11 @@ def compatible_supports(
     return out
 
 
+def support(cfg: AugmentedConfiguration) -> frozenset[int]:
+    """Indices of layers with positive thickness."""
+    return frozenset(int(j) for j in np.nonzero(cfg.thicknesses > 0)[0])
+
+
 def reachable_supports(
     cfg: AugmentedConfiguration, parent: ParentSequence
 ) -> set[frozenset[int]]:
@@ -54,7 +59,7 @@ def reachable_supports(
 
     Only Split and Merge change the support, so Displace is not explored.
     """
-    seen = {cfg.support()}
+    seen = {support(cfg)}
     frontier = [cfg]
     while frontier:
         cur = frontier.pop()
@@ -63,8 +68,8 @@ def reachable_supports(
                 if kind == "split":
                     mv = mv.with_u(float(snap_thickness(cur.thicknesses[mv.j] / 2.0)))
                 nxt = apply_move(cur, parent, mv)
-                if nxt.support() not in seen:
-                    seen.add(nxt.support())
+                if support(nxt) not in seen:
+                    seen.add(support(nxt))
                     frontier.append(nxt)
     return seen
 
@@ -251,8 +256,8 @@ class _FixedNormals:
     def __init__(self, z):
         self.z = z
 
-    def standard_normal(self, shape):
-        assert self.z.shape == tuple(shape)
+    def standard_normal(self, size):
+        assert self.z.shape == (size if isinstance(size, tuple) else (size,))
         return self.z
 
 

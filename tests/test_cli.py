@@ -532,6 +532,29 @@ class TestChainWithoutSamples:
                       "--mode", "conditional"], capsys)
 
 
+_COMMAND_ARGS = {
+    "validate": [], "fit": ["--seed", "1"], "tcd": ["--facies", "Blue"],
+    "simulate": ["--seed", "2", "--mode", "conditional"],
+}
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("validate", "parent"), ("validate", "boreholes"),
+    ("fit", "parent"), ("fit", "boreholes"),
+    ("simulate", "parent"), ("simulate", "boreholes"),
+    ("tcd", "parent"),  # tcd reads no borehole file
+])
+def test_missing_input_file_exit_2(workspace, tmp_path, capsys, command, missing):
+    _, cfg = workspace
+    gone = tmp_path / f"no_{missing}"
+    cfg2 = tmp_path / "run.cfg"
+    cfg2.write_text(re.sub(rf"^{missing} = .*$", f"{missing} = {gone}",
+                           cfg.read_text(), flags=re.M))
+    assert main([command, "--config", str(cfg2), *_COMMAND_ARGS[command]]) == 2
+    err = capsys.readouterr().err
+    assert f"{gone}: cannot read" in err and "Traceback" not in err
+
+
 class TestValidate:
     def test_reports_and_prints_table(self, workspace, capsys):
         _, cfg = workspace

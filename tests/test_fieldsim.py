@@ -347,13 +347,19 @@ class TestOneFactorPerSpec:
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_conditional_equals_per_layer_loop(self, seed):
+        # the oracle kriges an unconditional draw with a second factor of the
+        # borehole block; the kernel reads the same realisation off the blocks
+        # of the joint factor, so free nodes agree to rounding
         locs, configs = _alt_conditioning()
         for grid in (self.GRID, self.TRANSECT):
             got = simulate_conditional(grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed)
             want = oracles.simulate_conditional(
                 grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed
             )
-            assert np.array_equal(got.thickness, want)
+            _, bh_idx = fieldsim._match_boreholes(grid, locs)
+            assert np.array_equal(got.thickness[:, bh_idx], want[:, bh_idx])
+            assert np.array_equal(got.thickness == 0, want == 0)
+            assert np.max(np.abs(got.thickness - want)) <= 1e-12
         assert got.points.shape[0] == self.TRANSECT.n_nodes + 4  # none on a station
 
     def _covariances(self, monkeypatch):

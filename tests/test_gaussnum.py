@@ -374,6 +374,9 @@ class TestFieldKernel:
             assert _same_bits(got, want)
 
     def test_conditional_draws_equal_fresh_builds(self):
+        # the oracle kriges an unconditional draw with a second factor of the
+        # borehole block; the kernel reads the same realisation off the blocks
+        # of the joint factor, so the free rows agree to rounding
         pts, cond = self._points()
         spec = MaternSpec(0.5, 4.0)
         kernel = field_kernel(pts, spec, cond)
@@ -383,8 +386,31 @@ class TestFieldKernel:
             want = oracles.sample_gaussian_field(
                 pts, spec, np.random.default_rng(seed), pts[cond], vals
             )
-            assert _same_bits(got, want)
+            assert np.max(np.abs(got - want)) <= 1e-12
             assert np.array_equal(got[cond], vals)  # conditioned rows copy
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_draw_law_is_the_likelihood_law(self, nu):
+        # a draw is affine in its normals: zero normals give the conditional
+        # mean, and unit normals past the conditioned rows give columns whose
+        # outer product is the conditional covariance, both as ``condition``
+        # (the likelihood's kernel) computes them
+        pts, cond = self._points()
+        spec = MaternSpec(nu, 4.0)
+        n, nc = len(pts), len(cond)
+        free = np.delete(np.arange(n), cond)
+        w = np.random.default_rng(5).standard_normal(nc)
+        mean, cov = condition(cov_matrix(pts, spec), cond, free, w)
+        kernel = field_kernel(pts, spec, cond)
+        got = draw_field(kernel, oracles._FixedNormals(np.zeros(n)), w)
+        assert np.max(np.abs(got[free] - mean)) <= 1e-12
+        cols = []
+        for i in range(len(free)):
+            e = np.zeros(n)
+            e[nc + i] = 1.0
+            cols.append(draw_field(kernel, oracles._FixedNormals(e), np.zeros(nc))[free])
+        a = np.column_stack(cols)
+        assert np.max(np.abs(a @ a.T - cov)) <= 1e-12
 
     def test_every_point_conditioned(self):
         pts, cond = self._points()

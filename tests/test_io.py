@@ -1,5 +1,7 @@
 """File formats round-trip bit-exactly; malformed inputs fail with line info."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,16 @@ class TestChainFiles:
         lines = (tmp_path / "diag.csv").read_text().splitlines()
         assert lines[1] == "parameter,p,3,10,0"
         assert lines[2] == "move,split,1,2,7"
+
+
+@pytest.mark.parametrize("load", [
+    io.load_parent, io.load_boreholes, lambda path: io.load_truth(path, PARENT),
+    io.load_samples, io.load_configurations,
+], ids=["parent", "boreholes", "truth", "samples", "configurations"])
+def test_unreadable_file_is_a_dataset_error(tmp_path, load):
+    for path in (tmp_path / "missing.csv", tmp_path):  # absent, and a directory
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot read (")):
+            load(path)
 
 
 class TestGridWriters:

@@ -10,8 +10,13 @@ from scipy.integrate import quad
 from scipy.stats import chisquare
 
 from stratasim.core import BoreholeObservation, ParentSequence, observe
-from stratasim.errors import IncompatibleSequenceError, NumericError, ParameterError
-from stratasim import likelihood, mcmc
+from stratasim.errors import (
+    CapacityError,
+    IncompatibleSequenceError,
+    NumericError,
+    ParameterError,
+)
+from stratasim import gaussnum, likelihood, mcmc
 from stratasim.likelihood import LayerParams
 from stratasim.synthgen import SyntheticScenario, generate
 from stratasim.mcmc import (
@@ -239,6 +244,22 @@ class TestUpdateParameter:
         assert outside >= 10
         assert scored == [] and caplog.records == []
         assert state.params == params and np.array_equal(state.layer_terms, terms)
+
+    def test_capacity_error_ends_the_chain(self, caplog, monkeypatch):
+        # a layer with more zero sites than the orthant cap is a capacity
+        # limit, not a numeric failure that silently rejects the proposal
+        model = ThicknessModel(_toy_boreholes(), SYNTH_PARENT)
+        state = self._state(model)
+        zeros = {j: int(np.sum(model.layer_column(state.configs, j) == 0))
+                 for j in range(len(SYNTH_PARENT))}
+        widest = max(zeros, key=zeros.get)
+        assert zeros[widest] >= 1
+        monkeypatch.setattr(gaussnum, "_DIM_CAP", zeros[widest] - 1)
+        caplog.set_level(logging.WARNING, logger="stratasim.mcmc")
+        with pytest.raises(CapacityError, match="orthant-probability cap"):
+            update_parameter(model, state, model.group_of[widest], "alpha",
+                             ProposalSpec(), PriorSpec(), np.random.default_rng(0))
+        assert caplog.records == []
 
     def test_audit_catches_corrupted_cache(self):
         model = ThicknessModel([BH1, BH2], PARENT1)
