@@ -50,9 +50,11 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         raw: dict[str, tuple[int, str]] = {}
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise DatasetError(f"{path}: cannot read config ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: cannot decode as UTF-8 ({exc})") from exc
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -255,11 +255,14 @@ def enumerate_moves(
     if kind not in MOVE_KINDS:
         raise InfeasibleMoveError(f"unknown move kind {kind!r}")
     z = cfg.thicknesses.tolist()
-    M = len(parent)
+    # only a layer of j's facies can pair with j, so only those are tried
+    same_facies: dict[str, list[int]] = {}
+    for j, facies in enumerate(parent.layers):
+        same_facies.setdefault(facies, []).append(j)
     return [
         Move(kind, j, j2)
-        for j in range(M)
-        for j2 in range(M)
+        for j, facies in enumerate(parent.layers)
+        for j2 in same_facies[facies]
         if _feasible(z, parent, kind, j, j2)
     ]
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft
+from scipy.linalg.lapack import dpotrf
 from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.spatial.distance import cdist
 from scipy.stats import qmc
@@ -30,9 +31,21 @@ _JITTER_MAX = 1e-6
 _PROB_FLOOR = 1e-300
 
 # Most points that one dense field factor may cover, conditioned rows
-# included: a 20 000-point factor alone takes 3.2 GB.  A lattice embedding
-# may have up to its square, the same memory.
+# included.  A dense kernel lives in one n x n buffer of 8 n^2 bytes from
+# covariance to factor, and that buffer is its peak: about 50 MB on a 50 x 50
+# grid, 0.83 GB on a 101 x 101 grid and 3.2 GB at the budget.  A lattice
+# embedding may have up to its square, the same memory.
 CHOLESKY_BUDGET = 20_000
+
+# Entries of the n x n buffer that ``cov_matrix`` turns into correlations at
+# a time (whole rows, at least one): the temporaries of ``matern`` stay a
+# small fixed size beside the buffer.
+_COV_BLOCK = 1 << 15
+
+# Rows per block when ``_chol_in_place`` clears or restores a triangle, and
+# the strict lower triangle of one diagonal block.
+_TRI_BLOCK = 256
+_STRICT_LOWER = np.tri(_TRI_BLOCK, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -76,31 +89,74 @@ def matern(h, spec: MaternSpec):
 
 
 def cov_matrix(points, spec: MaternSpec) -> np.ndarray:
-    """Unit-diagonal correlation matrix over a planar point set."""
+    """Unit-diagonal correlation matrix over a planar point set.
+
+    The Matern values overwrite the distance matrix a block of rows at a
+    time, so the result is the n x n array ``cdist`` allocates, and the
+    values are those of ``matern`` over the whole matrix.  It is exactly
+    symmetric: ``cdist`` gives d(i, j) and d(j, i) the same bits.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = cdist(pts, pts)
-    c = matern(d, spec)
+    c = cdist(pts, pts)
+    rows = max(1, _COV_BLOCK // max(c.shape[0], 1))
+    for start in range(0, c.shape[0], rows):
+        block = c[start : start + rows]
+        block[...] = matern(block, spec)
     np.fill_diagonal(c, 1.0)
     return c
 
 
 def chol_psd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter up to 1e-6."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] != a.shape[1]:
+    """Lower Cholesky factor of a symmetric matrix, escalating diagonal
+    jitter up to 1e-6; ``a`` is left as it is (``_chol_in_place`` of a copy)."""
+    a = np.array(a, dtype=float, order="C")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericError("covariance matrix must be square")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
+    return _chol_in_place(a)
+
+
+def _triangle_blocks(n: int):
+    """(start, stop) of the row blocks of an n x n matrix, ``_TRI_BLOCK`` rows
+    each but the last."""
+    return ((s, min(s + _TRI_BLOCK, n)) for s in range(0, n, _TRI_BLOCK))
+
+
+def _chol_in_place(c: np.ndarray) -> np.ndarray:
+    """``chol_psd`` of the symmetric C-ordered matrix ``c``, built in ``c``.
+
+    LAPACK ``dpotrf`` factors the Fortran-ordered view ``c.T``, which holds
+    the same matrix, into its lower triangle, the upper triangle of ``c``; the
+    factor L is returned as that view, so it shares ``c``'s memory.  (The
+    lower variant is the one numpy's Cholesky runs.)  ``dpotrf`` reads and
+    writes that triangle only, so the strict lower triangle of ``c`` still
+    holds the matrix: a failed attempt restores the matrix from it and the
+    diagonal saved before the first, then retries with jitter 1e-10 to 1e-6
+    added to the diagonal.  On success the strict lower triangle is cleared;
+    on failure ``c`` holds the matrix again and ``NumericError`` reports its
+    condition estimate.
+    """
+    n = c.shape[0]
+    diag = c.diagonal().copy()
     jitter = _JITTER_START
-    eye = np.eye(a.shape[0])
-    while jitter <= _JITTER_MAX:
-        try:
-            return np.linalg.cholesky(a + jitter * eye)
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    cond = float(np.linalg.cond(a))
+    while True:
+        _, info = dpotrf(c.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            for start, stop in _triangle_blocks(n):
+                c[start:stop, :start] = 0.0
+                np.copyto(c[start:stop, start:stop], 0.0,
+                          where=_STRICT_LOWER[: stop - start, : stop - start])
+            return c.T
+        for start, stop in _triangle_blocks(n):
+            c[start:stop, stop:] = c[stop:, start:stop].T
+            block = c[start:stop, start:stop]
+            np.copyto(block, block.T,
+                      where=_STRICT_LOWER[: stop - start, : stop - start].T)
+        if jitter > _JITTER_MAX:
+            np.fill_diagonal(c, diag)
+            break
+        np.fill_diagonal(c, diag + jitter)
+        jitter *= 10.0
+    cond = float(np.linalg.cond(c))
     raise NumericError(
         f"covariance not positive definite after jitter {_JITTER_MAX} "
         f"(condition estimate {cond:.3e})"
@@ -375,9 +431,10 @@ class FieldKernel:
     it is empty for an unconditional kernel.  ``chol`` is the one lower
     Cholesky factor L = [[L_cc, 0], [L_gc, L_gg]] of the covariance over
     the ``cond`` rows, then the free rows, or None when every row is
-    conditioned.  Its blocks hold the conditional law: given the values w
-    of the ``cond`` rows, the free rows are L_gc L_cc^-1 w + L_gg z, with z
-    standard normal.
+    conditioned; it is built in the covariance's own memory, as a
+    Fortran-ordered array.  Its blocks hold the conditional law: given the
+    values w of the ``cond`` rows, the free rows are L_gc L_cc^-1 w + L_gg z,
+    with z standard normal.
     """
 
     n_points: int
@@ -407,7 +464,7 @@ def field_kernel(points, spec: MaternSpec, cond=None) -> FieldKernel:
     if free.size == 0:
         return FieldKernel(n, None, cond)
     joint_cov = cov_matrix(np.vstack([pts[cond], pts[free]]), spec)
-    return FieldKernel(n, chol_psd(joint_cov), cond)
+    return FieldKernel(n, _chol_in_place(joint_cov), cond)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,20 @@ def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
 
 
+@contextmanager
 def _open(path):
-    """``path`` opened for reading, its newlines left as ``csv`` wants them;
-    a file that cannot be opened raises ``DatasetError``."""
+    """``path`` opened for reading as UTF-8, its newlines left as ``csv``
+    wants them.  A file that cannot be opened, or whose bytes do not decode
+    as the reader reads them, raises ``DatasetError``."""
     try:
-        return open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read ({exc})") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: cannot decode as UTF-8 ({exc})") from exc
 
 
 def load_parent(path) -> ParentSequence:

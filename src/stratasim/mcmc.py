@@ -263,6 +263,12 @@ class PosteriorSample:
     loglik: float
 
 
+# Parameter kinds that enter a layer term only through its positive sites
+# (the latent transform and its Jacobian); p, alpha and nu also set the law
+# of the zero sites.
+_POSITIVE_SITE_KINDS = ("mu", "beta")
+
+
 def update_parameter(
     model: ThicknessModel,
     state: ChainState,
@@ -276,6 +282,8 @@ def update_parameter(
 
     A proposal outside the parameter's support, which ``LayerParams``
     rejects, is rejected before any scoring and draws no accept uniform.
+    A mu or beta proposal rescores only the group's layers that are positive
+    at some borehole: the others' terms do not depend on it.
     """
     cur = state.params[group]
     cur_val = getattr(cur, which)
@@ -289,8 +297,13 @@ def update_parameter(
         log_prior_ratio = pc_log_prior(cand.alpha, cand.mu, priors) - pc_log_prior(
             cur.alpha, cur.mu, priors
         )
+    layers = model.layers_of[group]
+    if which in _POSITIVE_SITE_KINDS:
+        # a layer with no positive site scores only the orthant probability
+        # of its zero sites, so its cached term is already the new one
+        layers = [j for j in layers if np.any(model.layer_column(state.configs, j) > 0)]
     return _accept_and_commit(
-        model, state, model.layers_of[group], state.configs,
+        model, state, layers, state.configs,
         {**state.params, group: cand}, log_prior_ratio, "parameter", rng,
     )
 

@@ -47,6 +47,12 @@ class TestRunConfig:
         with pytest.raises(DatasetError, match=":2"):
             RunConfig.from_file(path)
 
+    def test_undecodable_file_reports_path(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe\x00n_iter = 10\n")
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot decode as UTF-8 (")):
+            RunConfig.from_file(path)
+
     @pytest.mark.parametrize(
         "line", ["d_mu = nan", "mu0 = inf", "p_split = nan", "t0 = nan",
                  "param.Green.mu = -inf"],
@@ -553,6 +559,26 @@ def test_missing_input_file_exit_2(workspace, tmp_path, capsys, command, missing
     assert main([command, "--config", str(cfg2), *_COMMAND_ARGS[command]]) == 2
     err = capsys.readouterr().err
     assert f"{gone}: cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, undecodable", [
+    ("validate", "parent"), ("validate", "boreholes"), ("validate", "config"),
+    ("fit", "parent"), ("simulate", "boreholes"), ("tcd", "parent"),
+])
+def test_undecodable_input_file_exit_2(workspace, tmp_path, capsys, command,
+                                       undecodable):
+    _, cfg = workspace
+    bad = tmp_path / f"utf16_{undecodable}"
+    bad.write_bytes(b"\xff\xfe\x00" + b"x" * 8)
+    cfg2 = tmp_path / "run.cfg"
+    if undecodable == "config":
+        cfg2 = bad
+    else:
+        cfg2.write_text(re.sub(rf"^{undecodable} = .*$", f"{undecodable} = {bad}",
+                               cfg.read_text(), flags=re.M))
+    assert main([command, "--config", str(cfg2), *_COMMAND_ARGS[command]]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: cannot decode as UTF-8" in err and "Traceback" not in err
 
 
 class TestValidate:

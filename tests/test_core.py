@@ -11,6 +11,7 @@ from stratasim.core import (
     BoreholeObservation,
     Move,
     ParentSequence,
+    _feasible,
     apply_move,
     enumerate_moves,
     initial_augmentation,
@@ -211,6 +212,21 @@ def test_enumerate_moves_matches_probe_oracle(data):
     config = cfg(z)
     for kind in ("split", "merge", "displace"):
         assert enumerate_moves(config, parent, kind) == _probe_moves(config, parent, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_enumerate_moves_matches_all_pairs(data):
+    """Trying only same-facies partners lists every pair's moves, in order."""
+    parent = data.draw(_ORACLE_PARENTS)
+    z = data.draw(st.lists(_ORACLE_THICKNESSES, min_size=len(parent), max_size=len(parent)))
+    config = cfg(z)
+    every = range(len(parent))
+    for kind in ("split", "merge", "displace"):
+        assert enumerate_moves(config, parent, kind) == [
+            Move(kind, j, j2) for j in every for j2 in every
+            if _feasible(config.thicknesses, parent, kind, j, j2)
+        ]
 
 
 class TestEnumerateMoves:

@@ -1,5 +1,7 @@
 """Gaussian numerics: Matern forms, kriging, log-density, orthant CDF, samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,35 @@ class TestCholPsd:
         a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericError, match="condition"):
             chol_psd(a)
+
+    def test_input_left_unchanged(self):
+        pts = np.random.default_rng(3).uniform(0, 5, (30, 2))
+        a = cov_matrix(pts, MaternSpec(1.5, 1.0))
+        before = a.copy()
+        chol = chol_psd(a)
+        assert np.array_equal(a, before) and not np.shares_memory(chol, a)
+        with pytest.raises(NumericError):
+            chol_psd(-a)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_jittered_factor_restores_the_matrix_between_attempts(self, n):
+        # near-duplicate points make the first attempts fail; each retry must
+        # start from the matrix itself, rebuilt from the triangle ``dpotrf``
+        # leaves alone (300 rows span two blocks of the rebuild), so the
+        # factor differs from it only by the jitter on the diagonal
+        pts = np.random.default_rng(8).uniform(0, 3, (n, 2))
+        pts[1] = pts[0] + [1e-9, 0.0]
+        pts[-1] = pts[-2] + [0.0, 1e-9]
+        spec = MaternSpec(1.5, 1.0)
+        cov = cov_matrix(pts, spec)
+        chol = field_kernel(pts, spec).chol
+        assert np.array_equal(chol, np.tril(chol))
+        err = chol @ chol.T - cov
+        jitter = np.diag(err)
+        assert gaussnum._JITTER_START / 2 <= jitter.min()
+        assert jitter.max() <= gaussnum._JITTER_MAX
+        assert np.max(np.abs(err - np.diag(jitter))) <= 1e-12
 
 
 class TestMvnLogpdf:
@@ -438,6 +469,34 @@ class TestFieldKernel:
         f = draw_field(kernel, rng, cvals)
         assert np.array_equal(f[:5], cvals)
         assert np.max(np.abs(f[5:10] - cvals)) < 1e-2
+
+    def test_factor_is_built_in_the_covariance_buffer(self, monkeypatch):
+        built = []
+
+        def spy(points, spec):
+            built.append(cov_matrix(points, spec))
+            return built[-1]
+
+        monkeypatch.setattr(gaussnum, "cov_matrix", spy)
+        pts, cond = self._points()
+        kernel = field_kernel(pts, MaternSpec(1.5, 2.0), cond)
+        assert len(built) == 1 and np.shares_memory(kernel.chol, built[0])
+
+    def test_peak_memory_is_one_n_by_n_buffer(self):
+        # a 36 x 36 grid and 204 boreholes: the covariance, its Matern values
+        # and its factor share one buffer of 8 n^2 bytes
+        g = np.linspace(0.0, 20.0, 36)
+        grid = np.column_stack([np.repeat(g, 36), np.tile(g, 36)])
+        pts = np.vstack([grid, np.random.default_rng(6).uniform(0, 20, (204, 2))])
+        n = len(pts)
+        tracemalloc.start()
+        try:
+            kernel = field_kernel(pts, MaternSpec(1.5, 5.0), np.arange(1296, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kernel.chol.shape == (n, n)
+        assert peak < 1.25 * 8 * n * n
 
     def test_wrapper_equals_kernel_draw(self):
         pts, _ = self._points()

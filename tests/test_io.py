@@ -237,14 +237,26 @@ class TestChainFiles:
         assert lines[2] == "move,split,1,2,7"
 
 
-@pytest.mark.parametrize("load", [
+_EVERY_READER = pytest.mark.parametrize("load", [
     io.load_parent, io.load_boreholes, lambda path: io.load_truth(path, PARENT),
     io.load_samples, io.load_configurations,
 ], ids=["parent", "boreholes", "truth", "samples", "configurations"])
+
+
+@_EVERY_READER
 def test_unreadable_file_is_a_dataset_error(tmp_path, load):
     for path in (tmp_path / "missing.csv", tmp_path):  # absent, and a directory
         with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot read (")):
             load(path)
+
+
+@_EVERY_READER
+def test_undecodable_file_is_a_dataset_error(tmp_path, load):
+    # a UTF-16 byte-order mark: the bytes fail when read, not when opened
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(b"\xff\xfe\x00Green\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot decode as UTF-8 (")):
+        load(path)
 
 
 class TestGridWriters:

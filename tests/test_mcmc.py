@@ -446,6 +446,52 @@ class TestRunChain:
         assert len(builds) > 10 * model.kernel_capacity  # entries were dropped
         _audit(model, state)
 
+    def test_mu_and_beta_steps_skip_absent_layers(self, monkeypatch):
+        # no borehole shows Red, so its layer's term is the orthant
+        # probability of every site, which mu and beta do not enter
+        boreholes = [
+            BoreholeObservation("a", 10.0, 10.0, 0.0, (("Green", 1.0), ("Blue", 0.5))),
+            BoreholeObservation("b", 40.0, 40.0, 0.0, (("Blue", 0.9),)),
+            BoreholeObservation("c", 80.0, 20.0, 0.0,
+                                (("Green", 0.6), ("Black", 1.1), ("Blue", 0.4))),
+        ]
+        step = [None]
+        update, term = mcmc.update_parameter, ThicknessModel.layer_term
+
+        def tagged(model, state, group, which, *args):
+            step.append(which)
+            try:
+                return update(model, state, group, which, *args)
+            finally:
+                step.append(None)
+
+        def chain():
+            scored = []
+
+            def spy(self, z_col, params):
+                scored.append((step[-1], not np.any(np.asarray(z_col) > 0)))
+                return term(self, z_col, params)
+
+            monkeypatch.setattr(ThicknessModel, "layer_term", spy)
+            samples, diag = run_chain(boreholes, SYNTH_PARENT, PriorSpec(),
+                                      ProposalSpec(), n_iter=30, burn_in=0, thin=3,
+                                      seed=4, cdf_tol=1e-2)
+            return samples, diag, set(scored)
+
+        monkeypatch.setattr(mcmc, "update_parameter", tagged)
+        samples, diag, scored = chain()
+        assert ("mu", True) not in scored and ("beta", True) not in scored
+        assert {("p", True), ("alpha", True), ("mu", False)} <= scored
+        monkeypatch.setattr(mcmc, "_POSITIVE_SITE_KINDS", ())
+        want, want_diag, scored = chain()
+        assert ("mu", True) in scored and ("beta", True) in scored
+        assert diag["loglik_trace"] == want_diag["loglik_trace"]
+        assert diag["param_accept"] == want_diag["param_accept"]
+        for got, ref in zip(samples, want, strict=True):
+            assert got.params == ref.params and got.loglik == ref.loglik
+            assert all(np.array_equal(a.thicknesses, b.thicknesses)
+                       for a, b in zip(got.configs, ref.configs, strict=True))
+
     def test_incompatible_borehole_reported(self):
         bad = BoreholeObservation("z", 0, 0, 0, (("Black", 1.0), ("Green", 1.0)))
         with pytest.raises(IncompatibleSequenceError, match="z"):
