@@ -4,9 +4,10 @@ Layers are simulated independently (per-layer seeded streams), transformed
 to thicknesses, and stacked above a ground level to give depth surfaces.
 Layers sharing a Matern spec share one field kernel, built once per call:
 a circulant embedding for unconditional grids where one meets its error
-contract, a dense Cholesky factor otherwise.
+contract, otherwise the exact Cholesky factors of the grid's four
+reflection-folded blocks.
 Conditional simulation honors every borehole thickness, including the zeros,
-by conditioning the latent field on back-transformed values and truncated
+by kriging an unconditional draw to back-transformed values and truncated
 draws at zero-thickness sites.
 """
 
@@ -162,7 +163,7 @@ def simulate_unconditional(
 
     On a regular grid a spec's fields come from ``gaussnum.lattice_kernel``
     when it finds an embedding; transects, and grids where it finds none,
-    use the dense ``gaussnum.field_kernel``.
+    use the folded ``gaussnum.field_kernel`` of the grid's lattice.
     """
     params = _params_list(params_by_layer, parent)
     pts = grid.points()
@@ -172,7 +173,9 @@ def simulate_unconditional(
         if grid.kind == "grid":
             kernel = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing, spec)
         if kernel is None:
-            kernel = gaussnum.field_kernel(pts, spec)
+            kernel = gaussnum.field_kernel(
+                pts, spec, lattice=(grid.nx, grid.ny, grid.spacing)
+            )
         for j in layers:
             w = gaussnum.draw_field(kernel, _layer_rng(seed, j))
             thickness[j] = likelihood.thickness_from_latent(w, params[j])
@@ -227,20 +230,19 @@ def simulate_conditional(
     on the rows ``_match_boreholes`` chose, so the field copies the borehole
     latents exactly, but the round trip from thickness to latent and back is
     not exact in floating point, so borehole nodes are finally overwritten
-    with the conditioning thicknesses.
+    with the conditioning thicknesses.  The kernel's borehole covariance also
+    serves the zero-site draws.
     """
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     if len(configs) != len(locs):
         raise ParameterError("need one configuration per borehole location")
     pts, bh_idx = _match_boreholes(grid, locs)
-    bh_pts = pts[bh_idx]
     z_cond = np.array([cfg.thicknesses for cfg in configs]).T  # (M, n)
 
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec, bh_idx)
-        bh_cov = None  # built on the first layer of this spec with a zero
+        kernel = gaussnum.field_kernel(pts, spec, bh_idx, (grid.nx, grid.ny, grid.spacing))
         for j in layers:
             prm = params[j]
             rng = _layer_rng(seed, j)
@@ -249,10 +251,8 @@ def simulate_conditional(
             w_known = np.empty(len(locs))
             w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
             if np.any(~pos):
-                if bh_cov is None:
-                    bh_cov = gaussnum.cov_matrix(bh_pts, spec)
                 m, v = gaussnum.condition(
-                    bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+                    kernel.cond_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
                 )
                 w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
             w = gaussnum.draw_field(kernel, rng, w_known)

@@ -4,8 +4,9 @@ Matern correlations (half-integer closed forms), covariance assembly,
 Gaussian conditioning through one ``ConditionalKernel`` (the layer
 likelihood's kernel, which ``condition`` and ``mvn_logpdf`` also use),
 orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
-normal sampling, and random field simulation: dense Cholesky for any point
-set, FFT circulant embedding for regular grids.
+normal sampling, and random field simulation: exact Cholesky factors for any
+point set (four reflection-folded quarter blocks over a lattice, one dense
+factor elsewhere) and FFT circulant embedding for regular grids.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.spatial.distance import cdist
@@ -30,11 +33,12 @@ _JITTER_MAX = 1e-6
 
 _PROB_FLOOR = 1e-300
 
-# Most points that one dense field factor may cover, conditioned rows
-# included.  A dense kernel lives in one n x n buffer of 8 n^2 bytes from
-# covariance to factor, and that buffer is its peak: about 50 MB on a 50 x 50
-# grid, 0.83 GB on a 101 x 101 grid and 3.2 GB at the budget.  A lattice
-# embedding may have up to its square, the same memory.
+# Bound on a field kernel's Cholesky factors: their sizes b_i must satisfy
+# sum b_i^2 <= CHOLESKY_BUDGET^2, so the factors hold at most 8 budget^2
+# bytes, 3.2 GB.  Each factor is built in its own buffer, which is its peak.
+# A lattice's four folded blocks take about a quarter of one dense factor:
+# 12.5 MB on a 50 x 50 grid and 0.21 GB on a 101 x 101 grid.  A lattice
+# embedding may have up to budget^2 points, the same memory.
 CHOLESKY_BUDGET = 20_000
 
 # Entries of the n x n buffer that ``cov_matrix`` turns into correlations at
@@ -422,49 +426,173 @@ def sample_truncated_mvn(mean, cov, upper: float, rng) -> np.ndarray:
     return x
 
 
+def _cross_cov(a, b, spec: MaternSpec) -> np.ndarray:
+    """Matern correlations between the rows of two point sets."""
+    return matern(cdist(a, b), spec)
+
+
+def _fold_parts(n: int):
+    """(sign, rows, c) of the even (+1) and odd (-1) mirror vectors of an axis
+    of n nodes: vector i of a part is c_i (e_i + sign e_{n-1-i}), and it is row
+    ``rows.start + i`` of ``_fold_basis(n)``.  c_i = 1/sqrt(2), or 1/2 on the
+    middle node of an odd axis, whose even vector is then e_i."""
+    n_even = (n + 1) // 2
+    c_even = np.full(n_even, np.sqrt(0.5))
+    if n % 2:
+        c_even[-1] = 0.5
+    return ((1.0, slice(0, n_even), c_even),
+            (-1.0, slice(n_even, n), np.full(n // 2, np.sqrt(0.5))))
+
+
+def _fold_basis(n: int) -> np.ndarray:
+    """The orthogonal n x n matrix Q whose rows are an axis's mirror vectors,
+    the even ones first (``_fold_parts``)."""
+    q = np.zeros((n, n))
+    for sign, rows, c in _fold_parts(n):
+        i = np.arange(c.size)
+        q[rows.start + i, i] += c
+        q[rows.start + i, n - 1 - i] += sign * c
+    return q
+
+
+def _fold_lags(lags: np.ndarray, sign: float, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fold the lag axis of ``lags`` with one part of an axis's mirror basis.
+
+    ``lags`` has shape (a, n, b), with the covariance at lags 0 to n - 1
+    along the n-node axis in the middle; ``sign`` and ``c`` are a part of
+    ``_fold_parts(n)``, of k vectors.  Sets out[i, :, l, :], shape (k, a, k,
+    b), to 2 c_i c_l (lags[:, |i - l|, :] + sign lags[:, |i + l - (n - 1)|, :]).
+    Both terms are strided views of the lags mirrored about lag 0, so no
+    array of out's size is made beside it.
+    """
+    n, k = lags.shape[1], c.size
+    mirrored = np.concatenate([lags[:, :0:-1], lags], axis=1)  # lag |j - (n - 1)|
+    windows = sliding_window_view(mirrored, k, axis=1)  # [a, j, b, l]: mirrored[a, j + l, b]
+    near = windows[:, n - k : n][:, ::-1].transpose(1, 0, 3, 2)
+    far = windows[:, :k].transpose(1, 0, 3, 2)
+    (np.add if sign > 0 else np.subtract)(near, far, out=out)
+    out *= (2.0 * c[:, None] * c[None, :])[:, None, :, None]
+    return out
+
+
+def _fold_blocks(nx: int, ny: int, spacing: float, spec: MaternSpec):
+    """The Matern covariance over the ``nx`` x ``ny`` lattice in the mirror
+    basis Q = kron(Q_x, Q_y) of ``_fold_basis``, block by block.
+
+    The covariance does not change when either axis is mirrored, so
+    Q C Q' is block diagonal: one block per pair of (x, y) parts, (even,
+    even), (even, odd), (odd, even), (odd, odd), each on about a quarter of
+    the nodes.  Each is built from the lag table T[dx, dy] =
+    matern(spacing hypot(dx, dy)), folded along y and then along x into the
+    block's own buffer (``_fold_lags``), so the block is the only large
+    array.  Yields (x rows, y rows, block) for each non-empty block; the
+    block's rows are the folded coefficients ``x rows`` x ``y rows``, x major.
+    Every block is exactly symmetric.
+    """
+    table = matern(spacing * np.hypot(*np.ogrid[:nx, :ny]), spec)
+    y_folds = []
+    for sign, rows, c in _fold_parts(ny):
+        folded = np.empty((c.size, nx, c.size, 1))
+        y_folds.append((rows, _fold_lags(table[:, :, None], sign, c, folded)[..., 0]))
+    for sign, x_rows, c in _fold_parts(nx):
+        for y_rows, t_y in y_folds:  # t_y[p, dx, q]
+            size = c.size * t_y.shape[0]
+            if size == 0:
+                continue
+            block = np.empty((size, size))
+            _fold_lags(t_y, sign, c, block.reshape(c.size, t_y.shape[0], c.size, -1))
+            yield x_rows, y_rows, block
+
+
 @dataclass(frozen=True)
 class FieldKernel:
     """What a Gaussian field draw needs from the points and the Matern spec.
 
     Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
-    ``cond`` lists the rows that take the conditioning values as they are;
-    it is empty for an unconditional kernel.  ``chol`` is the one lower
-    Cholesky factor L = [[L_cc, 0], [L_gc, L_gg]] of the covariance over
-    the ``cond`` rows, then the free rows, or None when every row is
-    conditioned; it is built in the covariance's own memory, as a
-    Fortran-ordered array.  Its blocks hold the conditional law: given the
-    values w of the ``cond`` rows, the free rows are L_gc L_cc^-1 w + L_gg z,
-    with z standard normal.
+    The points are the nodes of an nx x ny lattice, raveled x major, then
+    the rest; over scattered points there are no nodes.  An unconditional
+    draw Y takes one standard normal per point, z = (z_g, z_r):
+
+    - the nodes are Q' blockdiag(L_i) z_g, where Q = kron(``axes``), the
+      nx x nx and ny x ny mirror bases (``_fold_basis``); each of
+      ``blocks`` holds the (x rows, y rows) of its folded coefficients and
+      the lower Cholesky factor L_i of its block of Q C Q' (``_fold_blocks``);
+    - the rest are ``cross``' z_g + ``chol`` z_r.  ``cross`` = blockdiag(L_i)^-1
+      Q C_gr, so ``cross``' z_g is the kriging estimate of the rest from the
+      nodes, and ``chol`` factors its error covariance C_rr - ``cross``'
+      ``cross``.  Over scattered points that is ``chol`` z, one dense factor
+      of the whole covariance.
+
+    ``cond`` lists the rows that take the conditioning values w, in order;
+    ``cond_cov`` is their covariance and ``krig`` = C_.c C_cc^-1 their
+    kriging weights, so the draw is Y + ``krig`` (w - Y_c), with the ``cond``
+    rows then set to w exactly (conditioning by kriging).  Factors are
+    Fortran-ordered, each built in its block's own buffer.
     """
 
     n_points: int
-    chol: np.ndarray | None
+    axes: tuple[np.ndarray, np.ndarray]
+    blocks: tuple[tuple[slice, slice, np.ndarray], ...]
+    cross: np.ndarray
+    chol: np.ndarray
     cond: np.ndarray
+    cond_cov: np.ndarray
+    krig: np.ndarray
 
 
-def field_kernel(points, spec: MaternSpec, cond=None) -> FieldKernel:
-    """The factor of field draws over ``points``.
+def field_kernel(points, spec: MaternSpec, cond=None, lattice=None) -> FieldKernel:
+    """The factors of field draws over ``points``.
 
-    ``cond`` lists the rows of ``points`` that carry a conditioning value, in
-    the order ``draw_field`` is given the values; None or empty means an
-    unconditional field.  A conditioned row takes its value directly:
-    keeping it among the free rows would make the joint covariance singular.
-    Raises ``CapacityError``, before any covariance is built, when the
-    points exceed ``CHOLESKY_BUDGET``.
+    ``lattice`` is (nx, ny, spacing) of the regular lattice that the leading
+    nx * ny rows of ``points`` form, x index major, as ``SimGrid.points``
+    orders them; None means scattered points.  ``cond`` lists the rows that
+    carry a conditioning value, in the order ``draw_field`` is given the
+    values; None or empty means an unconditional field.  Raises
+    ``CapacityError``, before any covariance is built, when the factors'
+    squared sizes sum to more than ``CHOLESKY_BUDGET``^2.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    if n > CHOLESKY_BUDGET:
-        raise CapacityError(
-            f"{n} simulation points exceed the Cholesky budget {CHOLESKY_BUDGET}; "
-            f"coarsen the grid"
-        )
+    nx, ny, spacing = (0, 0, 0.0) if lattice is None else lattice
+    n_grid = nx * ny
     cond = np.asarray(() if cond is None else cond, dtype=int)
-    free = np.delete(np.arange(n), cond)
-    if free.size == 0:
-        return FieldKernel(n, None, cond)
-    joint_cov = cov_matrix(np.vstack([pts[cond], pts[free]]), spec)
-    return FieldKernel(n, _chol_in_place(joint_cov), cond)
+    # the factors: the lattice's folded blocks, the rest and the cond rows
+    sizes = [cx.size * cy.size for *_, cx in _fold_parts(nx) for *_, cy in _fold_parts(ny)]
+    entries = sum(b * b for b in sizes + [n - n_grid, cond.size])
+    if entries > CHOLESKY_BUDGET ** 2:
+        raise CapacityError(
+            f"{n} simulation points need Cholesky factors of {entries} entries, "
+            f"beyond the budget {CHOLESKY_BUDGET}^2; coarsen the grid"
+        )
+    blocks, axes = (), (np.empty((0, 0)), np.empty((0, 0)))
+    if n_grid:
+        blocks = tuple((xs, ys, _chol_in_place(block))
+                       for xs, ys, block in _fold_blocks(nx, ny, spacing, spec))
+        axes = (_fold_basis(nx), _fold_basis(ny))
+    rest = pts[n_grid:]
+    cross = np.empty((n_grid, len(rest)))
+    chol = np.empty((0, 0))
+    if len(rest):
+        if n_grid:
+            c_gr = _cross_cov(pts[:n_grid], rest, spec)
+            folded = axes[1] @ (axes[0] @ c_gr.reshape(nx, -1)).reshape(nx, ny, -1)
+            start = 0
+            for xs, ys, factor in blocks:
+                stop = start + factor.shape[0]
+                cross[start:stop] = solve_triangular(
+                    factor, folded[xs, ys].reshape(stop - start, -1), lower=True
+                )
+                start = stop
+        cov = cov_matrix(rest, spec)
+        if n_grid:
+            cov -= cross.T @ cross
+        chol = _chol_in_place(cov)
+    cond_cov = np.empty((0, 0))
+    krig = np.empty((n, 0))
+    if cond.size:
+        cond_cov = cov_matrix(pts[cond], spec)
+        krig = cho_solve((chol_psd(cond_cov), True), _cross_cov(pts[cond], pts, spec)).T
+    return FieldKernel(n, axes, blocks, cross, chol, cond, cond_cov, krig)
 
 
 @dataclass(frozen=True)
@@ -523,25 +651,33 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
 
     Lattice draws filter standard normals on the torus by the square-root
     spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
-    (x index major).  Dense draws copy ``cond_values`` w into the kernel's
-    ``cond`` rows, draw ``chol.shape[0]`` standard normals z and set the free
-    rows to L_gc L_cc^-1 w + L_gg z_g from the blocks of the factor, z_g
-    being the normals past the first ``len(cond)``.  With nothing conditioned
-    that is ``chol @ z``.
+    (x index major).  Field kernel draws take ``n_points`` standard normals
+    and apply the kernel's factors (``FieldKernel``), then krige the draw to
+    the ``cond_values`` w and copy w into the ``cond`` rows.  Over scattered
+    points with nothing conditioned that is ``chol @ z``.
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
         f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
         return f[: kernel.nx, : kernel.ny].ravel()
-    w = np.asarray(() if cond_values is None else cond_values, dtype=float)
+    z = rng.standard_normal(kernel.n_points)
     out = np.empty(kernel.n_points)
-    out[kernel.cond] = w
-    if kernel.chol is None:
-        return out
-    chol, nc = kernel.chol, kernel.cond.size
-    z = rng.standard_normal(chol.shape[0])
-    free = np.delete(np.arange(kernel.n_points), kernel.cond)
-    out[free] = chol[nc:, :nc] @ np.linalg.solve(chol[:nc, :nc], w) + chol[nc:, nc:] @ z[nc:]
+    n_grid = kernel.cross.shape[0]
+    out[n_grid:] = kernel.chol @ z[n_grid:]
+    if n_grid:
+        qx, qy = kernel.axes
+        folded = np.empty((len(qx), len(qy)))
+        start = 0
+        for xs, ys, chol in kernel.blocks:
+            stop = start + chol.shape[0]
+            folded[xs, ys] = (chol @ z[start:stop]).reshape(xs.stop - xs.start, -1)
+            start = stop
+        out[:n_grid] = (qx.T @ folded @ qy).ravel()
+        out[n_grid:] += kernel.cross.T @ z[:n_grid]
+    if kernel.cond.size:
+        w = np.asarray(cond_values, dtype=float)
+        out += kernel.krig @ (w - out[kernel.cond])
+        out[kernel.cond] = w
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -324,20 +325,27 @@ def save_raster(path, stack: LayerStack, text: list[list[str]] | None = None):
     """Raster CSV: one row per (node, layer) with planar coordinates.
 
     ``text`` is the stack's ``thickness_text`` when the caller has it.
+    The rows are joined as strings, with the line ends and quoting of
+    ``csv.writer``: each node's "x,y," and each layer's "j,facies," prefix
+    is made once.
     """
     text = thickness_text(stack) if text is None else text
     pts = stack.points[: stack.grid.n_nodes]
-    xs = map(repr, pts[:, 0].tolist())
-    ys = map(repr, pts[:, 1].tolist())
-    layers = list(enumerate(stack.parent.layers))
+    layers = [_csv_prefix(j, facies) for j, facies in enumerate(stack.parent.layers)]
+    lines = ["x_km,y_km,layer_index,facies,thickness_m"]
+    for c, (x, y) in enumerate(pts.tolist()):
+        node = f"{x!r},{y!r},"
+        lines.extend(node + layer + row[c] for layer, row in zip(layers, text))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_km", "y_km", "layer_index", "facies", "thickness_m"])
-        writer.writerows(
-            (x, y, j, facies, text[j][c])
-            for c, (x, y) in enumerate(zip(xs, ys))
-            for j, facies in layers
-        )
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _csv_prefix(*fields) -> str:
+    """``fields`` as ``csv.writer`` writes them in a row, with the delimiter
+    that follows them."""
+    buf = StringIO()
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[: -len("\r\n")]
 
 
 def save_stack_grid(path, stack: LayerStack, text: list[list[str]] | None = None):

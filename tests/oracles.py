@@ -215,38 +215,25 @@ def sample_truncated_mvn(mean, cov, upper, rng):
 
 
 def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None):
-    """One field draw that builds its covariance and factors on every call."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    if cond_points is None or len(cond_points) == 0:
-        chol = gaussnum.chol_psd(gaussnum.cov_matrix(pts, spec))
-        return chol @ rng.standard_normal(n)
+    """One field draw that builds its covariance and factors on every call.
 
+    An unconditional draw y = L z over every point, then conditioning by
+    kriging: y + C_.c C_cc^-1 (w - y_c), with the points found at the
+    conditioning coordinates set to w.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    chol = gaussnum.chol_psd(gaussnum.cov_matrix(pts, spec))
+    y = chol @ rng.standard_normal(pts.shape[0])
+    if cond_points is None or len(cond_points) == 0:
+        return y
     cpts = np.atleast_2d(np.asarray(cond_points, dtype=float))
     w = np.asarray(cond_values, dtype=float)
     d = cdist(pts, cpts)
-    hit = d.min(axis=1) < 1e-12
-    out = np.empty(n)
-    out[hit] = w[np.argmin(d[hit], axis=1)] if np.any(hit) else 0.0
-    free = ~hit
-    if not np.any(free):
-        return out
-
-    fpts = pts[free]
-    nc = cpts.shape[0]
-    joint_cov = gaussnum.cov_matrix(np.vstack([cpts, fpts]), spec)
-    chol = gaussnum.chol_psd(joint_cov)
-    f_star = chol @ rng.standard_normal(nc + fpts.shape[0])
-
-    s_cc = joint_cov[:nc, :nc]
-    s_gc = joint_cov[nc:, :nc]
-    chol_cc = gaussnum.chol_psd(s_cc)
-
-    def krig(vals):
-        t = np.linalg.solve(chol_cc, vals)
-        return s_gc @ np.linalg.solve(chol_cc.T, t)
-
-    out[free] = krig(w) + (f_star[nc:] - krig(f_star[:nc]))
+    rows = np.argmin(d, axis=0)
+    assert np.all(d[rows, np.arange(len(cpts))] < 1e-12)
+    c_pc = gaussnum.matern(d, spec)
+    out = y + c_pc @ np.linalg.solve(gaussnum.cov_matrix(cpts, spec), w - y[rows])
+    out[rows] = w
     return out
 
 
@@ -279,27 +266,27 @@ def lattice_draw_covariance(kernel: gaussnum.LatticeKernel) -> np.ndarray:
 
 def simulate_unconditional(grid, params_by_layer, parent, seed):
     """Thickness fields layer by layer in parent order, one kernel per layer:
-    the lattice kernel where one exists for a grid, else a dense factor."""
+    the lattice kernel where one exists for a grid, else the folded one."""
     params = fieldsim._params_list(params_by_layer, parent)
     pts = grid.points()
     thickness = np.empty((len(parent), len(pts)))
     for j, prm in enumerate(params):
-        rng = fieldsim._layer_rng(seed, j)
-        lattice = None
+        kernel = None
         if grid.kind == "grid":
-            lattice = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing,
-                                              prm.matern_spec)
-        if lattice is None:
-            w = sample_gaussian_field(pts, prm.matern_spec, rng)
-        else:
-            w = gaussnum.draw_field(lattice, rng)
+            kernel = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing,
+                                             prm.matern_spec)
+        if kernel is None:
+            kernel = gaussnum.field_kernel(
+                pts, prm.matern_spec, lattice=(grid.nx, grid.ny, grid.spacing)
+            )
+        w = gaussnum.draw_field(kernel, fieldsim._layer_rng(seed, j))
         thickness[j] = likelihood.thickness_from_latent(w, prm)
     return thickness
 
 
 def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed):
     """Conditional thickness fields layer by layer in parent order, with the
-    borehole covariance and the field factor rebuilt for every layer."""
+    borehole covariance and the field kernel rebuilt for every layer."""
     params = fieldsim._params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     pts, bh_idx = fieldsim._match_boreholes(grid, locs)
@@ -318,7 +305,9 @@ def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed
                 joint, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
             )
             w_known[~pos] = sample_truncated_mvn(m, v, prm.tau, rng)
-        w = sample_gaussian_field(pts, prm.matern_spec, rng, bh_pts, w_known)
+        kernel = gaussnum.field_kernel(pts, prm.matern_spec, bh_idx,
+                                       (grid.nx, grid.ny, grid.spacing))
+        w = gaussnum.draw_field(kernel, rng, w_known)
         thickness[j] = likelihood.thickness_from_latent(w, prm)
         thickness[j, bh_idx] = z_j
     return thickness

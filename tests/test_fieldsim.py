@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stratasim import fieldsim, gaussnum, likelihood
+from stratasim import gaussnum
 from stratasim.config import RunConfig
 from stratasim.core import AugmentedConfiguration, ParentSequence
 from stratasim.errors import CapacityError, ParameterError
@@ -111,47 +111,54 @@ class TestUnconditional:
         assert np.all(np.diff(surf, axis=0) >= 0)
         assert np.array_equal(surf[0], np.full(36, 2.0))
 
-    def test_budget(self):
-        # dense fields only: a grid this size goes through the lattice path
-        grid = SimGrid.transect((0, 0), (1, 0), gaussnum.CHOLESKY_BUDGET + 1)
+    def test_budget(self, monkeypatch):
+        # a transect's folded kernel has two blocks, of 13 and 13 stations
+        # for 26: 338 squared entries, within 19^2 but not 18^2
+        grid = SimGrid.transect((0, 0), (50, 0), 26)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 19)
+        simulate_unconditional(grid, PARAMS, PARENT, seed=0)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 18)
         with pytest.raises(CapacityError):
             simulate_unconditional(grid, PARAMS, PARENT, seed=0)
 
 
 def _spy_kernels(monkeypatch):
     """Record each spec given to ``lattice_kernel`` and ``field_kernel``,
-    with whether the lattice found an embedding."""
+    with whether the lattice found an embedding; a ``field_kernel`` given a
+    lattice is recorded as "folded"."""
     calls = []
-    lattice, dense = gaussnum.lattice_kernel, gaussnum.field_kernel
+    lattice, field = gaussnum.lattice_kernel, gaussnum.field_kernel
 
     def lattice_spy(nx, ny, spacing, spec):
         out = lattice(nx, ny, spacing, spec)
         calls.append(("lattice" if out is not None else "no embedding", spec))
         return out
 
-    def dense_spy(points, spec, cond=None):
-        calls.append(("dense", spec))
-        return dense(points, spec, cond)
+    def field_spy(points, spec, cond=None, lattice=None):
+        calls.append(("folded" if lattice is not None else "scattered", spec))
+        return field(points, spec, cond, lattice)
 
     monkeypatch.setattr(gaussnum, "lattice_kernel", lattice_spy)
-    monkeypatch.setattr(gaussnum, "field_kernel", dense_spy)
+    monkeypatch.setattr(gaussnum, "field_kernel", field_spy)
     return calls
 
 
 class TestLatticePath:
-    """Which kernel each unconditional field comes from."""
+    """Which kernel each unconditional field comes from.  "Dense" is the
+    exact path, the Cholesky factors of the folded kernel, as against the
+    circulant embedding."""
 
     def test_transect_goes_dense(self, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         simulate_unconditional(SimGrid.transect((0, 0), (50, 0), 26), PARAMS, PARENT, 0)
-        assert calls == [("dense", PARAMS["Green"].matern_spec)]
+        assert calls == [("folded", PARAMS["Green"].matern_spec)]
 
     def test_small_grid_with_long_range_goes_dense(self, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         params = {f: replace(p, alpha=20.0) for f, p in PARAMS.items()}
         simulate_unconditional(SimGrid.regular((0, 0), 2.0, 16, 16), params, PARENT, 0)
         spec = params["Green"].matern_spec
-        assert calls == [("no embedding", spec), ("dense", spec)]
+        assert calls == [("no embedding", spec), ("folded", spec)]
 
     def test_grid_beyond_the_cholesky_budget_goes_lattice(self, monkeypatch):
         calls = _spy_kernels(monkeypatch)
@@ -164,8 +171,8 @@ class TestLatticePath:
 
     # The benchmark's 16x16 and 50x50 grids at 2 km, the config's default
     # 101x101 at 1 km and the CLI tests' 12x12 at 9 km, with the synthetic
-    # truth's specs: fixed-seed unconditional outputs differ from the dense
-    # path's only where the lattice is taken.
+    # truth's specs: where no embedding is found ("dense"), the folded
+    # kernel's exact factors draw the field.
     @pytest.mark.parametrize("nx, spacing, alpha, path", [
         (16, 2.0, 10.0, "dense"),
         (16, 2.0, 20.0, "dense"),
@@ -192,7 +199,7 @@ class TestLatticePath:
         assert np.array_equal(got.thickness, want)
 
     def test_default_grid(self, monkeypatch):
-        # the config's default 101 x 101 grid: no dense factor is built
+        # the config's default 101 x 101 grid: no Cholesky factor is built
         calls = _spy_kernels(monkeypatch)
         cfg = RunConfig()
         grid = SimGrid.regular(cfg.grid_origin, cfg.grid_spacing, cfg.grid_nx, cfg.grid_ny)
@@ -224,22 +231,29 @@ class TestConditional:
                 got = stack.thickness[:, node]
                 assert np.max(np.abs(got - cfg.thicknesses)) <= 1e-8
 
-    def test_budget_counts_boreholes(self):
-        # the transect alone fits the budget; with the appended boreholes it
-        # does not
-        grid = SimGrid.transect((0, 0), (1, 0), gaussnum.CHOLESKY_BUDGET - 2)
+    def test_budget_counts_boreholes(self, monkeypatch):
+        # the 24-station transect's two folded blocks of 12 fit 17^2 = 289
+        # squared entries; its three appended boreholes add 3^2 for their
+        # own factor and 3^2 for the borehole block, and do not fit
+        grid = SimGrid.transect((0, 0), (23, 0), 24)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 17)
+        simulate_unconditional(grid, PARAMS, PARENT, seed=0)
         locs, configs = _conditioning_setup()
         with pytest.raises(CapacityError):
             simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
 
     def test_budget_counts_factor_points(self, monkeypatch):
-        # boreholes on nodes add no point to the factor; an appended one does
-        grid = SimGrid.regular((0, 0), 2.0, 8, 8)
-        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", grid.n_nodes)
-        locs, configs = [[2.0, 2.0], [8.0, 8.0], [12.0, 4.0]], _conditioning_setup()[1]
+        # boreholes on nodes add only the borehole block to the factors; an
+        # appended one adds its own row too.  The 3 x 5 grid folds into
+        # blocks of 6, 4, 3 and 2 nodes, 65 squared entries; with the 3^2 of
+        # three boreholes on nodes that fits 9^2 = 81, and with a fourth,
+        # appended, 65 + 1^2 + 4^2 = 82 does not
+        grid = SimGrid.regular((0, 0), 2.0, 3, 5)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 9)
+        locs, configs = [[2.0, 2.0], [0.0, 6.0], [4.0, 4.0]], _conditioning_setup()[1]
         stack = simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
         assert stack.points.shape[0] == grid.n_nodes
-        locs.append([15.5, 15.5])  # more than half a cell beyond the last node
+        locs.append([9.5, 9.5])  # more than half a cell beyond the last node
         configs.append(AugmentedConfiguration("d", np.array([0.4, 0.0, 0.6])))
         with pytest.raises(CapacityError):
             simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
@@ -316,15 +330,15 @@ class TestOneFactorPerSpec:
     TRANSECT = SimGrid.transect((0, 0), (16, 12), 25)
     # on GRID, only Black's short-range exponential spec has an embedding
     LATTICE_SPEC = ALT_PARAMS["Black"].matern_spec
-    DENSE_SPECS = [ALT_PARAMS["Green"].matern_spec, ALT_PARAMS["Blue"].matern_spec]
+    FOLDED_SPECS = [ALT_PARAMS["Green"].matern_spec, ALT_PARAMS["Blue"].matern_spec]
 
     def test_grid_paths(self, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
         assert calls == [
             ("lattice", self.LATTICE_SPEC),
-            ("no embedding", self.DENSE_SPECS[0]), ("dense", self.DENSE_SPECS[0]),
-            ("no embedding", self.DENSE_SPECS[1]), ("dense", self.DENSE_SPECS[1]),
+            ("no embedding", self.FOLDED_SPECS[0]), ("folded", self.FOLDED_SPECS[0]),
+            ("no embedding", self.FOLDED_SPECS[1]), ("folded", self.FOLDED_SPECS[1]),
         ]
 
     @pytest.mark.parametrize("seed", [0, 9])
@@ -333,33 +347,18 @@ class TestOneFactorPerSpec:
             got = simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
             want = oracles.simulate_unconditional(grid, ALT_PARAMS, ALT_PARENT, seed)
             assert np.array_equal(got.thickness, want)
-        # the dense specs' layers equal a fresh dense factor per layer
-        dense = [j for j, f in enumerate(ALT_PARENT.layers)
-                 if ALT_PARAMS[f].matern_spec in self.DENSE_SPECS]
-        assert len(dense) == 5
-        got = simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, seed)
-        for j in dense:
-            prm = ALT_PARAMS[ALT_PARENT.layers[j]]
-            w = oracles.sample_gaussian_field(
-                self.GRID.points(), prm.matern_spec, fieldsim._layer_rng(seed, j)
-            )
-            assert np.array_equal(got.thickness[j], likelihood.thickness_from_latent(w, prm))
 
     @pytest.mark.parametrize("seed", [0, 9])
     def test_conditional_equals_per_layer_loop(self, seed):
-        # the oracle kriges an unconditional draw with a second factor of the
-        # borehole block; the kernel reads the same realisation off the blocks
-        # of the joint factor, so free nodes agree to rounding
+        # the oracle rebuilds the borehole covariance and the folded kernel
+        # for every layer, and draws the zero sites with scipy's truncnorm
         locs, configs = _alt_conditioning()
         for grid in (self.GRID, self.TRANSECT):
             got = simulate_conditional(grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed)
             want = oracles.simulate_conditional(
                 grid, ALT_PARAMS, ALT_PARENT, configs, locs, seed
             )
-            _, bh_idx = fieldsim._match_boreholes(grid, locs)
-            assert np.array_equal(got.thickness[:, bh_idx], want[:, bh_idx])
-            assert np.array_equal(got.thickness == 0, want == 0)
-            assert np.max(np.abs(got.thickness - want)) <= 1e-12
+            assert np.array_equal(got.thickness, want)
         assert got.points.shape[0] == self.TRANSECT.n_nodes + 4  # none on a station
 
     def _covariances(self, monkeypatch):
@@ -379,30 +378,30 @@ class TestOneFactorPerSpec:
         return sorted(set(specs), key=lambda s: (s.nu, s.alpha))
 
     def test_unconditional_one_covariance_per_spec(self, monkeypatch):
+        # the folded kernels build their blocks from lag tables, one kernel
+        # per spec, and no covariance matrix over the nodes
         built = self._covariances(monkeypatch)
+        calls = _spy_kernels(monkeypatch)
         simulate_unconditional(self.GRID, ALT_PARAMS, ALT_PARENT, 3)
-        assert {n for n, _ in built} == {self.GRID.n_nodes}
-        specs = [spec for _, spec in built]
-        assert specs == self.DENSE_SPECS == self._in_spec_order(specs)
-        built.clear()
+        specs = [spec for path, spec in calls if path == "folded"]
+        assert specs == self.FOLDED_SPECS == self._in_spec_order(specs)
+        calls.clear()
         simulate_unconditional(self.TRANSECT, ALT_PARAMS, ALT_PARENT, 3)
-        specs = [spec for _, spec in built]
+        specs = [spec for _, spec in calls]
         assert specs == self._in_spec_order(specs) and len(specs) == 3
+        assert built == []
 
     def test_conditional_one_covariance_per_spec(self, monkeypatch):
         locs, configs = _alt_conditioning()
         built = self._covariances(monkeypatch)
         simulate_conditional(self.GRID, ALT_PARAMS, ALT_PARENT, configs, locs, 3)
-        # "b" is appended and the others snap to nodes, so the field covariance
-        # covers the 4 boreholes and the 61 nodes that carry none
-        field = [spec for n, spec in built if n == self.GRID.n_nodes + 1]
-        assert field == self._in_spec_order(field) and len(field) == 3
-        # the borehole covariance, for the zero-thickness draws
-        with_zero = [ALT_PARAMS[f].matern_spec for j, f in enumerate(ALT_PARENT.layers)
-                     if any(cfg.thicknesses[j] == 0 for cfg in configs)]
-        boreholes = [spec for n, spec in built if n == len(locs)]
-        assert boreholes == self._in_spec_order(with_zero)
-        assert len(field) + len(boreholes) == len(built)
+        # per spec, in spec order: "b" is appended and the others snap to
+        # nodes, so the kernel builds the covariance of the one appended point
+        # and that of the 4 boreholes, which also serves the zero-thickness
+        # draws; none covers the nodes
+        specs = self._in_spec_order(ALT_PARAMS[f].matern_spec for f in ALT_PARENT.layers)
+        assert len(specs) == 3
+        assert built == [(n, spec) for spec in specs for n in (1, len(locs))]
 
     def test_one_kernel_alive_at_a_time(self, monkeypatch):
         kernels = []

@@ -382,6 +382,28 @@ class TestSampleTruncatedMvnBits:
             assert _same_bits(x, oracles.sample_truncated_mvn(mean, cov, 0.0, rng_want))
 
 
+def _assert_draw_law(pts, spec, cond, lattice):
+    """A field kernel's draw is affine in its normals: zero normals give the
+    conditional mean, and the draws from each of the n unit normals are
+    columns whose outer product is the conditional covariance, both as
+    ``condition`` (the likelihood's kernel) computes them over the free rows."""
+    n, nc = len(pts), len(cond)
+    free = np.delete(np.arange(n), cond)
+    w = np.random.default_rng(5).standard_normal(nc)
+    if nc:
+        mean, cov = condition(cov_matrix(pts, spec), cond, free, w)
+    else:
+        mean, cov = np.zeros(n), cov_matrix(pts, spec)
+    kernel = field_kernel(pts, spec, cond, lattice)
+    got = draw_field(kernel, oracles._FixedNormals(np.zeros(n)), w)
+    assert np.array_equal(got[cond], w)
+    assert np.max(np.abs(got[free] - mean)) <= 1e-12
+    a = np.column_stack([
+        draw_field(kernel, oracles._FixedNormals(e), np.zeros(nc))[free] for e in np.eye(n)
+    ])
+    assert np.max(np.abs(a @ a.T - cov)) <= 1e-12
+
+
 class TestFieldKernel:
     """A kernel serves many draws, each equal to a fresh per-call build.
 
@@ -405,9 +427,9 @@ class TestFieldKernel:
             assert _same_bits(got, want)
 
     def test_conditional_draws_equal_fresh_builds(self):
-        # the oracle kriges an unconditional draw with a second factor of the
-        # borehole block; the kernel reads the same realisation off the blocks
-        # of the joint factor, so the free rows agree to rounding
+        # both krige the same unconditional draw over every point, the oracle
+        # by a fresh solve with the borehole covariance, so the free rows
+        # agree to rounding
         pts, cond = self._points()
         spec = MaternSpec(0.5, 4.0)
         kernel = field_kernel(pts, spec, cond)
@@ -422,26 +444,9 @@ class TestFieldKernel:
 
     @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
     def test_draw_law_is_the_likelihood_law(self, nu):
-        # a draw is affine in its normals: zero normals give the conditional
-        # mean, and unit normals past the conditioned rows give columns whose
-        # outer product is the conditional covariance, both as ``condition``
-        # (the likelihood's kernel) computes them
+        # scattered points: see ``_assert_draw_law``
         pts, cond = self._points()
-        spec = MaternSpec(nu, 4.0)
-        n, nc = len(pts), len(cond)
-        free = np.delete(np.arange(n), cond)
-        w = np.random.default_rng(5).standard_normal(nc)
-        mean, cov = condition(cov_matrix(pts, spec), cond, free, w)
-        kernel = field_kernel(pts, spec, cond)
-        got = draw_field(kernel, oracles._FixedNormals(np.zeros(n)), w)
-        assert np.max(np.abs(got[free] - mean)) <= 1e-12
-        cols = []
-        for i in range(len(free)):
-            e = np.zeros(n)
-            e[nc + i] = 1.0
-            cols.append(draw_field(kernel, oracles._FixedNormals(e), np.zeros(nc))[free])
-        a = np.column_stack(cols)
-        assert np.max(np.abs(a @ a.T - cov)) <= 1e-12
+        _assert_draw_law(pts, MaternSpec(nu, 4.0), cond, None)
 
     def test_every_point_conditioned(self):
         pts, cond = self._points()
@@ -452,8 +457,7 @@ class TestFieldKernel:
         vals = np.arange(len(rows), dtype=float)
         rng = np.random.default_rng(0)
         got = draw_field(kernel, rng, vals)
-        assert np.array_equal(got[rows], vals)
-        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+        assert np.array_equal(got[rows], vals)  # every row copies its value
         want = oracles.sample_gaussian_field(
             pts, spec, np.random.default_rng(0), pts[rows], vals
         )
@@ -471,6 +475,11 @@ class TestFieldKernel:
         assert np.max(np.abs(f[5:10] - cvals)) < 1e-2
 
     def test_factor_is_built_in_the_covariance_buffer(self, monkeypatch):
+        # every covariance ``field_kernel`` asks of ``cov_matrix`` is factored
+        # in its own buffer: over scattered points the one factor of all
+        # points; over a lattice, the appended points' factor, while the
+        # nodes' blocks come from the lag table and no covariance over the
+        # nodes is built
         built = []
 
         def spy(points, spec):
@@ -480,23 +489,35 @@ class TestFieldKernel:
         monkeypatch.setattr(gaussnum, "cov_matrix", spy)
         pts, cond = self._points()
         kernel = field_kernel(pts, MaternSpec(1.5, 2.0), cond)
-        assert len(built) == 1 and np.shares_memory(kernel.chol, built[0])
+        assert [len(c) for c in built] == [len(pts), len(cond)]
+        assert np.shares_memory(kernel.chol, built[0])
+        built.clear()
+        grid = TestFoldedKernel.lattice_points(6, 5, 1.0)
+        pts = np.vstack([grid, [[2.4, 1.3], [7.0, 2.0]]])
+        kernel = field_kernel(pts, MaternSpec(1.5, 2.0), [31, 3, 30], (6, 5, 1.0))
+        assert [len(c) for c in built] == [2, 3]
+        assert np.shares_memory(kernel.chol, built[0])
 
     def test_peak_memory_is_one_n_by_n_buffer(self):
-        # a 36 x 36 grid and 204 boreholes: the covariance, its Matern values
-        # and its factor share one buffer of 8 n^2 bytes
+        # a 36 x 36 grid and 4 appended boreholes, 8 boreholes in all: the
+        # kernel peaks at its factors, each built in its own buffer, which
+        # hold about a quarter of the 8 n^2 bytes of one dense factor
         g = np.linspace(0.0, 20.0, 36)
         grid = np.column_stack([np.repeat(g, 36), np.tile(g, 36)])
-        pts = np.vstack([grid, np.random.default_rng(6).uniform(0, 20, (204, 2))])
+        pts = np.vstack([grid, np.random.default_rng(6).uniform(0, 20, (4, 2))])
         n = len(pts)
+        cond = np.array([0, 100, 700, 1295, 1296, 1297, 1298, 1299])
         tracemalloc.start()
         try:
-            kernel = field_kernel(pts, MaternSpec(1.5, 5.0), np.arange(1296, n))
+            kernel = field_kernel(pts, MaternSpec(1.5, 5.0), cond, (36, 36, g[1]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kernel.chol.shape == (n, n)
-        assert peak < 1.25 * 8 * n * n
+        sizes = [chol.shape[0] for _, _, chol in kernel.blocks]
+        assert sizes == [324] * 4
+        entries = sum(b * b for b in sizes) + 4 ** 2 + len(cond) ** 2
+        assert entries < 0.26 * n * n
+        assert peak < 1.25 * 8 * entries
 
     def test_wrapper_equals_kernel_draw(self):
         pts, _ = self._points()
@@ -506,6 +527,71 @@ class TestFieldKernel:
         assert _same_bits(got, want)
 
 
+class TestFoldedKernel:
+    """Field kernels over a lattice: the covariance in the mirror basis is
+    four blocks, each factored on its own."""
+
+    @staticmethod
+    def lattice_points(nx, ny, spacing):
+        gx, gy = np.meshgrid(spacing * np.arange(nx), spacing * np.arange(ny),
+                             indexing="ij")
+        return np.column_stack([gx.ravel(), gy.ravel()])
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (4, 5), (6, 6), (7, 3), (8, 1), (7, 1), (1, 1)])
+    def test_fold_identity(self, nx, ny, nu):
+        # Q' blockdiag(B) Q is the covariance over the nodes, Q = kron(Q_x, Q_y)
+        spec = MaternSpec(nu, 3.0)
+        n = nx * ny
+        q = np.kron(gaussnum._fold_basis(nx), gaussnum._fold_basis(ny))
+        assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-15
+        folded = np.zeros((n, n))
+        covered = 0
+        for xs, ys, block in gaussnum._fold_blocks(nx, ny, 1.3, spec):
+            rows = (np.arange(xs.start, xs.stop)[:, None] * ny
+                    + np.arange(ys.start, ys.stop)[None, :]).ravel()
+            assert np.array_equal(block, block.T)
+            folded[np.ix_(rows, rows)] = block
+            covered += len(rows)
+        assert covered == n
+        want = cov_matrix(self.lattice_points(nx, ny, 1.3), spec)
+        assert np.max(np.abs(q.T @ folded @ q - want)) <= 1e-12
+
+    # rows of a 9 x 8 lattice at 1 km, node (i, j) at row 8 i + j; appended
+    # points follow the 72 nodes
+    CASES = {
+        "no borehole": ([], []),
+        "on nodes": ([], [5, 40, 71, 22]),
+        "appended": ([[2.3, 4.6]], [5, 40, 72]),
+        "sharing a node": ([[3.3, 4.2], [11.5, 2.0]], [28, 72, 73, 60]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_draw_law_is_the_likelihood_law(self, nu, case):
+        appended, cond = self.CASES[case]
+        pts = np.vstack([self.lattice_points(9, 8, 1.0), np.reshape(appended, (-1, 2))])
+        _assert_draw_law(pts, MaternSpec(nu, 3.0), np.array(cond, dtype=int), (9, 8, 1.0))
+
+    def test_budget_counts_squared_factor_sizes(self, monkeypatch):
+        # 8 x 8 nodes fold into four blocks of 16 rows, 1 024 entries; two
+        # appended points and three conditioned rows add 4 and 9
+        spec = MaternSpec(1.5, 2.0)
+        pts = np.vstack([self.lattice_points(8, 8, 1.0), [[9.5, 0.0], [0.0, 9.5]]])
+        cond = [0, 64, 65]
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 33)
+        field_kernel(pts, spec, cond, (8, 8, 1.0))
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 32)
+        field_kernel(pts[:64], spec, lattice=(8, 8, 1.0))
+
+        def unbuilt(*args):
+            raise AssertionError("a covariance was built beyond the budget")
+
+        monkeypatch.setattr(gaussnum, "matern", unbuilt)
+        with pytest.raises(CapacityError):
+            field_kernel(pts, spec, cond, (8, 8, 1.0))
+
+
 class TestSampleGaussianField:
     def test_deterministic_given_seed(self):
         pts = np.random.default_rng(0).uniform(0, 10, (30, 2))
@@ -513,6 +599,14 @@ class TestSampleGaussianField:
         a = sample_gaussian_field(pts, spec, np.random.default_rng(9))
         b = sample_gaussian_field(pts, spec, np.random.default_rng(9))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_scattered_draw_is_one_dense_factor(self, nu):
+        pts = np.random.default_rng(3).uniform(0, 10, (40, 2))
+        spec = MaternSpec(nu, 2.0)
+        got = sample_gaussian_field(pts, spec, np.random.default_rng(7))
+        z = np.random.default_rng(7).standard_normal(len(pts))
+        assert _same_bits(got, chol_psd(cov_matrix(pts, spec)) @ z)
 
     def test_budget_enforced(self):
         pts = np.zeros((CHOLESKY_BUDGET + 1, 2))

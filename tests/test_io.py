@@ -283,6 +283,15 @@ class TestGridWriters:
         grid = SimGrid.regular((0.1, -3.7), 0.7, 9, 6)
         self._same_files(tmp_path, simulate_unconditional(grid, self.PARAMS, PARENT, 1))
 
+    @pytest.mark.parametrize("names", [("Green", "Red", "Blue"), ("a,b", '"q"', "a\nb")])
+    def test_facies_names_quoted_as_csv(self, tmp_path, names):
+        # the joined rows keep csv.writer's quoting of a facies name that
+        # holds the delimiter, the quote character or a line end
+        parent = ParentSequence((names[0], names[1], names[2], names[0]))
+        params = dict(zip(names, self.PARAMS.values()))
+        grid = SimGrid.regular((0.0, 0.0), 1.5, 4, 3)
+        self._same_files(tmp_path, simulate_unconditional(grid, params, parent, 4))
+
     def test_appended_borehole_on_a_node(self, tmp_path):
         # both boreholes are within half a cell of node (2, 2); the far one is
         # appended, and its point is written to neither file
