@@ -252,7 +252,7 @@ def simulate_conditional(
             w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
             if np.any(~pos):
                 m, v = gaussnum.condition(
-                    kernel.cond_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+                    kernel.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
                 )
                 w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
             w = gaussnum.draw_field(kernel, rng, w_known)

@@ -524,8 +524,8 @@ class FieldKernel:
       of the whole covariance.
 
     ``cond`` lists the rows that take the conditioning values w, in order;
-    ``cond_cov`` is their covariance and ``krig`` = C_.c C_cc^-1 their
-    kriging weights, so the draw is Y + ``krig`` (w - Y_c), with the ``cond``
+    ``bh_cov`` is their covariance C_cc and ``krig_weights`` = C_.c C_cc^-1,
+    so the draw is Y + ``krig_weights`` (w - Y_c), with the ``cond``
     rows then set to w exactly (conditioning by kriging).  Factors are
     Fortran-ordered, each built in its block's own buffer.
     """
@@ -536,8 +536,8 @@ class FieldKernel:
     cross: np.ndarray
     chol: np.ndarray
     cond: np.ndarray
-    cond_cov: np.ndarray
-    krig: np.ndarray
+    bh_cov: np.ndarray
+    krig_weights: np.ndarray
 
 
 def field_kernel(points, spec: MaternSpec, cond=None, lattice=None) -> FieldKernel:
@@ -587,12 +587,12 @@ def field_kernel(points, spec: MaternSpec, cond=None, lattice=None) -> FieldKern
         if n_grid:
             cov -= cross.T @ cross
         chol = _chol_in_place(cov)
-    cond_cov = np.empty((0, 0))
-    krig = np.empty((n, 0))
+    bh_cov = np.empty((0, 0))
+    krig_weights = np.empty((n, 0))
     if cond.size:
-        cond_cov = cov_matrix(pts[cond], spec)
-        krig = cho_solve((chol_psd(cond_cov), True), _cross_cov(pts[cond], pts, spec)).T
-    return FieldKernel(n, axes, blocks, cross, chol, cond, cond_cov, krig)
+        bh_cov = cov_matrix(pts[cond], spec)
+        krig_weights = cho_solve((chol_psd(bh_cov), True), _cross_cov(pts[cond], pts, spec)).T
+    return FieldKernel(n, axes, blocks, cross, chol, cond, bh_cov, krig_weights)
 
 
 @dataclass(frozen=True)
@@ -654,14 +654,18 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
     (x index major).  Field kernel draws take ``n_points`` standard normals
     and apply the kernel's factors (``FieldKernel``), then krige the draw to
     the ``cond_values`` w and copy w into the ``cond`` rows.  Over scattered
-    points with nothing conditioned that is ``chol @ z``.
+    points with nothing conditioned that is ``chol @ z``; with every row
+    conditioned it is w in the ``cond`` rows, and nothing is drawn.
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
         f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
         return f[: kernel.nx, : kernel.ny].ravel()
-    z = rng.standard_normal(kernel.n_points)
     out = np.empty(kernel.n_points)
+    if kernel.cond.size == kernel.n_points:
+        out[kernel.cond] = cond_values
+        return out
+    z = rng.standard_normal(kernel.n_points)
     n_grid = kernel.cross.shape[0]
     out[n_grid:] = kernel.chol @ z[n_grid:]
     if n_grid:
@@ -676,7 +680,7 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
         out[n_grid:] += kernel.cross.T @ z[:n_grid]
     if kernel.cond.size:
         w = np.asarray(cond_values, dtype=float)
-        out += kernel.krig @ (w - out[kernel.cond])
+        out += kernel.krig_weights @ (w - out[kernel.cond])
         out[kernel.cond] = w
     return out
 

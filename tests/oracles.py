@@ -214,16 +214,74 @@ def sample_truncated_mvn(mean, cov, upper, rng):
     return x
 
 
-def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None):
+def _mirror_basis(n):
+    """Orthonormal rows (e_i + e_{n-1-i}) / norm for i < n - 1 - i and the
+    middle node e_i, then (e_i - e_{n-1-i}) / sqrt(2) for i < n - 1 - i, as
+    an n x n matrix, with the number of even rows."""
+    rows = []
+    for sign in (1.0, -1.0):
+        for i in range(n):
+            j = n - 1 - i
+            if i < j or (i == j and sign > 0):
+                v = np.zeros(n)
+                v[i] += 1.0
+                v[j] += sign
+                rows.append(v / np.linalg.norm(v))
+    return np.array(rows).reshape(n, n), (n + 1) // 2
+
+
+def _folded_draw(cov, lattice, z):
+    """Unconditional draw from the covariance ``cov`` of the nx * ny lattice
+    nodes followed by the rest, given its normals ``z``, by folding the node
+    block in the mirror basis Q.
+
+    Q C_gg Q' is taken whole and its diagonal blocks of the (even, odd) x
+    (even, odd) rows are factored one by one, in that order, x major; the
+    nodes are Q' blockdiag(L_i) z_g.  The rest are A' z_g + chol(C_rr - A'A)
+    z_r, with A = blockdiag(L_i)^-1 Q C_gr by dense solves.
+    """
+    nx, ny, _ = lattice
+    n_grid = nx * ny
+    qx, ex = _mirror_basis(nx)
+    qy, ey = _mirror_basis(ny)
+    q = np.kron(qx, qy)
+    folded = q @ cov[:n_grid, :n_grid] @ q.T
+    folded_gr = q @ cov[:n_grid, n_grid:]
+    coef = np.empty(n_grid)
+    cross = np.empty((n_grid, cov.shape[0] - n_grid))
+    start = 0
+    for xs in (range(ex), range(ex, nx)):
+        for ys in (range(ey), range(ey, ny)):
+            idx = np.array([a * ny + b for a in xs for b in ys], dtype=int)
+            if idx.size == 0:
+                continue
+            chol = gaussnum.chol_psd(folded[np.ix_(idx, idx)])
+            stop = start + idx.size
+            coef[idx] = chol @ z[start:stop]
+            cross[start:stop] = np.linalg.solve(chol, folded_gr[idx])
+            start = stop
+    y = np.empty(cov.shape[0])
+    y[:n_grid] = q.T @ coef
+    if cov.shape[0] > n_grid:
+        chol = gaussnum.chol_psd(cov[n_grid:, n_grid:] - cross.T @ cross)
+        y[n_grid:] = cross.T @ z[:n_grid] + chol @ z[n_grid:]
+    return y
+
+
+def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None,
+                          lattice=None):
     """One field draw that builds its covariance and factors on every call.
 
-    An unconditional draw y = L z over every point, then conditioning by
-    kriging: y + C_.c C_cc^-1 (w - y_c), with the points found at the
-    conditioning coordinates set to w.
+    An unconditional draw y over every point, then conditioning by kriging:
+    y + C_.c C_cc^-1 (w - y_c), with the points found at the conditioning
+    coordinates set to w.  Over scattered points y = L z, L the factor of
+    the whole covariance; ``lattice`` = (nx, ny, spacing) says the leading
+    nx * ny points are lattice nodes, drawn through ``_folded_draw``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    chol = gaussnum.chol_psd(gaussnum.cov_matrix(pts, spec))
-    y = chol @ rng.standard_normal(pts.shape[0])
+    cov = gaussnum.cov_matrix(pts, spec)
+    z = rng.standard_normal(pts.shape[0])
+    y = gaussnum.chol_psd(cov) @ z if lattice is None else _folded_draw(cov, lattice, z)
     if cond_points is None or len(cond_points) == 0:
         return y
     cpts = np.atleast_2d(np.asarray(cond_points, dtype=float))
@@ -231,8 +289,7 @@ def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None)
     d = cdist(pts, cpts)
     rows = np.argmin(d, axis=0)
     assert np.all(d[rows, np.arange(len(cpts))] < 1e-12)
-    c_pc = gaussnum.matern(d, spec)
-    out = y + c_pc @ np.linalg.solve(gaussnum.cov_matrix(cpts, spec), w - y[rows])
+    out = y + cov[:, rows] @ np.linalg.solve(cov[np.ix_(rows, rows)], w - y[rows])
     out[rows] = w
     return out
 
@@ -265,28 +322,31 @@ def lattice_draw_covariance(kernel: gaussnum.LatticeKernel) -> np.ndarray:
 
 
 def simulate_unconditional(grid, params_by_layer, parent, seed):
-    """Thickness fields layer by layer in parent order, one kernel per layer:
-    the lattice kernel where one exists for a grid, else the folded one."""
+    """Thickness fields layer by layer in parent order, one draw per layer:
+    the lattice kernel's where one exists for a grid, else a fresh folded
+    draw of the dense covariance."""
     params = fieldsim._params_list(params_by_layer, parent)
     pts = grid.points()
     thickness = np.empty((len(parent), len(pts)))
     for j, prm in enumerate(params):
+        rng = fieldsim._layer_rng(seed, j)
         kernel = None
         if grid.kind == "grid":
             kernel = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing,
                                              prm.matern_spec)
         if kernel is None:
-            kernel = gaussnum.field_kernel(
-                pts, prm.matern_spec, lattice=(grid.nx, grid.ny, grid.spacing)
-            )
-        w = gaussnum.draw_field(kernel, fieldsim._layer_rng(seed, j))
+            w = sample_gaussian_field(pts, prm.matern_spec, rng,
+                                      lattice=(grid.nx, grid.ny, grid.spacing))
+        else:
+            w = gaussnum.draw_field(kernel, rng)
         thickness[j] = likelihood.thickness_from_latent(w, prm)
     return thickness
 
 
 def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed):
     """Conditional thickness fields layer by layer in parent order, with the
-    borehole covariance and the field kernel rebuilt for every layer."""
+    borehole covariance and a folded draw of the dense covariance made
+    afresh for every layer."""
     params = fieldsim._params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     pts, bh_idx = fieldsim._match_boreholes(grid, locs)
@@ -305,9 +365,8 @@ def simulate_conditional(grid, params_by_layer, parent, configs, locations, seed
                 joint, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
             )
             w_known[~pos] = sample_truncated_mvn(m, v, prm.tau, rng)
-        kernel = gaussnum.field_kernel(pts, prm.matern_spec, bh_idx,
-                                       (grid.nx, grid.ny, grid.spacing))
-        w = gaussnum.draw_field(kernel, rng, w_known)
+        w = sample_gaussian_field(pts, prm.matern_spec, rng, bh_pts, w_known,
+                                  (grid.nx, grid.ny, grid.spacing))
         thickness[j] = likelihood.thickness_from_latent(w, prm)
         thickness[j, bh_idx] = z_j
     return thickness

@@ -457,7 +457,8 @@ class TestFieldKernel:
         vals = np.arange(len(rows), dtype=float)
         rng = np.random.default_rng(0)
         got = draw_field(kernel, rng, vals)
-        assert np.array_equal(got[rows], vals)  # every row copies its value
+        assert np.array_equal(got[rows], vals)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
         want = oracles.sample_gaussian_field(
             pts, spec, np.random.default_rng(0), pts[rows], vals
         )
