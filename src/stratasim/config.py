@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import DatasetError
+from .errors import DatasetError, ParameterError
 from .gaussnum import ALLOWED_NU
 from .likelihood import PARAM_KINDS, LayerParams
 from .mcmc import PriorSpec, ProposalSpec
@@ -17,6 +17,8 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 # (test, what the value must be) for keys whose model range is narrower
 # than their type's
 _POSITIVE = (lambda v: v > 0, "positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
 _MATERN_NU = (lambda v: v in ALLOWED_NU, f"one of {ALLOWED_NU}")
 
 
@@ -117,9 +119,9 @@ class RunConfig:
             take("grid_origin_x", float, cfg.grid_origin[0]),
             take("grid_origin_y", float, cfg.grid_origin[1]),
         )
-        cfg.grid_spacing = take("grid_spacing", float, cfg.grid_spacing)
-        cfg.grid_nx = take("grid_nx", int, cfg.grid_nx)
-        cfg.grid_ny = take("grid_ny", int, cfg.grid_ny)
+        cfg.grid_spacing = take("grid_spacing", float, cfg.grid_spacing, _POSITIVE)
+        cfg.grid_nx = take("grid_nx", int, cfg.grid_nx, _AT_LEAST_1)
+        cfg.grid_ny = take("grid_ny", int, cfg.grid_ny, _AT_LEAST_1)
         if any(k in raw for k in ("transect_x0", "transect_y0", "transect_x1", "transect_y1")):
             cfg.transect = (
                 take("transect_x0", float, 0.0),
@@ -127,7 +129,7 @@ class RunConfig:
                 take("transect_x1", float, 0.0),
                 take("transect_y1", float, 0.0),
             )
-        cfg.transect_n = take("transect_n", int, cfg.transect_n)
+        cfg.transect_n = take("transect_n", int, cfg.transect_n, _AT_LEAST_2)
         cfg.t0 = take("t0", float, cfg.t0)
         cfg.t0_policy = take("t0_policy", str, cfg.t0_policy)
         if cfg.t0_policy not in ("constant", "idw"):
@@ -135,17 +137,28 @@ class RunConfig:
 
         # simulation parameters: param.<facies>.<name> = value
         sim: dict[str, dict[str, float]] = {}
+        lines: dict[str, int] = {}
         for key in [k for k in raw if k.startswith("param.")]:
             parts = key.split(".")
+            lines[key] = raw[key][0]
             if len(parts) != 3 or parts[2] not in PARAM_KINDS:
-                raise DatasetError(f"{path}:{raw[key][0]}: bad parameter key {key!r}")
+                raise DatasetError(f"{path}:{lines[key]}: bad parameter key {key!r}")
             sim.setdefault(parts[1], {})[parts[2]] = take(key, float, None)
+        # LayerParams states each support; a value is judged on its own in a
+        # valid set, so the error names its key's line
+        valid = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0, nu=cfg.nu)
         for facies, vals in sim.items():
             missing = set(PARAM_KINDS) - set(vals)
             if missing:
                 raise DatasetError(
                     f"{path}: param.{facies}.* is missing {sorted(missing)}"
                 )
+            for kind, value in vals.items():
+                key = f"param.{facies}.{kind}"
+                try:
+                    replace(valid, **{kind: value})
+                except ParameterError as exc:
+                    raise DatasetError(f"{path}:{lines[key]}: {key}: {exc}") from exc
             cfg.sim_params[facies] = LayerParams(**vals, nu=cfg.nu)
 
         if raw:

@@ -11,6 +11,7 @@ factor elsewhere) and FFT circulant embedding for regular grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 from scipy.special import log1p, log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .errors import CapacityError, DegenerateRegionError, NumericError, ParameterError
 
@@ -252,6 +252,8 @@ _FIRST_ROUND_SETS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _sobol_points(dim: int, n: int) -> np.ndarray:
     key = (dim, n)
     if key not in _SOBOL_CACHE:
+        from scipy.stats import qmc  # here, so importing the package skips scipy.stats
+
         m = int(np.log2(n))
         _SOBOL_CACHE[key] = qmc.Sobol(dim, scramble=False).random_base2(m)
     return _SOBOL_CACHE[key]
@@ -600,8 +602,10 @@ class LatticeKernel:
     """Circulant embedding of a Matern field on an ``nx`` x ``ny`` lattice.
 
     Built by ``lattice_kernel``.  ``shape`` is the (mx, my) torus the lattice
-    is embedded in; ``sqrt_eig`` holds the square roots of the clipped
-    eigenvalues of its covariance, as the ``rfft2`` half-spectrum.
+    is embedded in: even on every axis of more than one node, 1 on an axis
+    of one node.  ``sqrt_eig`` holds the square roots of the clipped
+    eigenvalues of its covariance, as the ``rfft2`` half-spectrum, shape
+    (mx, my // 2 + 1), that ``draw_field`` filters by.
     """
 
     nx: int
@@ -610,40 +614,114 @@ class LatticeKernel:
     sqrt_eig: np.ndarray
 
 
-def _torus_lags(m: int, spacing: float) -> np.ndarray:
-    """Distance along one axis of an m-point torus from node 0, in km."""
-    k = np.arange(m)
-    return spacing * np.minimum(k, m - k)
+def _even_fast_len(m: int) -> int:
+    """The smallest even 5-smooth length >= m."""
+    m = fft.next_fast_len(m, real=True)
+    while m % 2:
+        m = fft.next_fast_len(m + 1, real=True)
+    return m
+
+
+@functools.cache
+def _quarter_weights(m: int) -> np.ndarray:
+    """How many eigenvalues of an m-point torus axis each of its m // 2 + 1
+    quarter indices stands for: 1 at 0 and at m/2, 2 elsewhere.  Read-only,
+    one copy per m."""
+    w = np.full(m // 2 + 1, 2.0)
+    w[0] = 1.0
+    if m % 2 == 0:
+        w[-1] = 1.0
+    w.flags.writeable = False
+    return w
+
+
+def _quarter_spectrum(lags: np.ndarray, shape) -> tuple[np.ndarray, float]:
+    """The covariance eigenvalues of the (mx, my) torus at the quarter
+    indices (0..mx/2, 0..my/2), and their clipped negative mass: summed over
+    the whole spectrum, each quarter index by its multiplicity, and divided
+    by mx my.
+
+    ``lags`` holds the covariance at node lags (0..mx/2, 0..my/2) or more.
+    The torus covariance is even in both axes, so its spectrum is the DCT-I
+    of that quarter table along every axis of more than one point.
+    """
+    mx, my = shape
+    quarter = lags[: mx // 2 + 1, : my // 2 + 1]
+    # all axes as dctn's default, its cheapest call; DCT-I needs 2 points
+    axes = None if min(shape) > 1 else [a for a, m in enumerate(shape) if m > 1]
+    eig = fft.dctn(quarter, type=1, axes=axes)
+    negative = _quarter_weights(mx) @ np.minimum(eig, 0.0) @ _quarter_weights(my)
+    return eig, -float(negative) / (mx * my)
+
+
+def _tori_between(start, low: int, high: int) -> list[tuple[int, int]]:
+    """The distinct tori at scales in (``low``, ``high``] of ``start``, in
+    increasing order: at scale t each axis of more than one node has the
+    smallest even 5-smooth length >= t times its start, and an axis of one
+    node stays at 1.  The last is ``high`` times ``start``."""
+    tori = set()
+    for b in start:
+        if b == 1:
+            continue
+        m = _even_fast_len(low * b + 1)
+        while m <= high * b:  # scale m / b
+            tori.add(tuple(c if c == 1 else _even_fast_len(-(-m * c // b)) for c in start))
+            m = _even_fast_len(m + 1)
+    return sorted(tori)
 
 
 def lattice_kernel(nx: int, ny: int, spacing: float, spec: MaternSpec):
-    """Circulant embedding of the field over a regular ``nx`` x ``ny`` grid,
-    or None when no embedding within the size rule meets the error contract.
+    """Circulant embedding of the field over a regular ``nx`` x ``ny`` grid
+    on the smallest torus found that meets the error contract, or None when
+    no torus within the size rule meets it.
 
-    The embedding starts at ``next_fast_len(2(n - 1))`` points per axis and
-    doubles.  One of M = mx*my points is tried only while M log2 M <= N^2,
-    N = nx*ny (one FFT draw then costs no more than one dense mat-vec), and
-    M <= ``CHOLESKY_BUDGET``^2.  It is accepted iff its clipped negative
-    eigenvalues, summed over the full spectrum and divided by M, are at most
-    ``_JITTER_MAX``: that sum bounds the error of every entry of the
-    covariance the draws have, the same ceiling the dense factor's jitter has.
+    The contract: a torus of M = mx*my points is accepted iff its clipped
+    negative eigenvalues, summed over the full spectrum and divided by M,
+    are at most ``_JITTER_MAX``.  That sum bounds the error of every entry
+    of the covariance the draws have, the same ceiling the dense factor's
+    jitter has.  The size rule: a torus is tried only while
+    M log2 M <= N^2, N = nx*ny (one FFT draw then costs no more than one
+    dense mat-vec), and M <= ``CHOLESKY_BUDGET``^2.
+
+    An axis of one node has a torus of one node.  Any other starts at the
+    smallest even 5-smooth length >= 2(n - 1), which is
+    ``next_fast_len(2(n - 1))`` unless that is odd, and the torus doubles
+    until it passes or leaves the size rule.  A pass after a failure
+    brackets the smallest passing torus: the tori between the two
+    (``_tori_between``) are bisected, on the premise that a larger torus
+    passes where a smaller one does, and the smallest that passed is kept.
+    Each trial's spectrum is the DCT-I of its quarter lag table
+    (``_quarter_spectrum``), and the table of the passing doubling holds
+    those of every torus below it.
     """
     n = nx * ny
-    mx, my = (fft.next_fast_len(max(2 * (k - 1), 1), real=True) for k in (nx, ny))
-    while mx * my * np.log2(mx * my) <= float(n) ** 2 and mx * my <= CHOLESKY_BUDGET ** 2:
-        dx = _torus_lags(mx, spacing)
-        dy = _torus_lags(my, spacing)
-        eig = fft.rfft2(matern(np.hypot(dx[:, None], dy[None, :]), spec)).real
-        # rfft2 keeps columns 0..my//2; each column but 0 and my/2 stands for two
-        weight = np.full(my // 2 + 1, 2.0)
-        weight[0] = 1.0
-        if my % 2 == 0:
-            weight[-1] = 1.0
-        negative = -float(np.minimum(eig, 0.0).sum(axis=0) @ weight) / (mx * my)
+    start = tuple(1 if k == 1 else _even_fast_len(2 * (k - 1)) for k in (nx, ny))
+    failed, scale = 0, 1
+    while True:
+        shape = tuple(1 if b == 1 else scale * b for b in start)
+        m = shape[0] * shape[1]
+        if m * np.log2(m) > float(n) ** 2 or m > CHOLESKY_BUDGET ** 2:
+            return None
+        lx, ly = (np.arange(k // 2 + 1) for k in shape)
+        lags = matern(spacing * np.hypot(lx[:, None], ly), spec)
+        eig, negative = _quarter_spectrum(lags, shape)
         if negative <= _JITTER_MAX:
-            return LatticeKernel(nx, ny, (mx, my), np.sqrt(np.maximum(eig, 0.0)))
-        mx, my = 2 * mx, 2 * my
-    return None
+            break
+        failed, scale = scale, 2 * scale
+    if failed:
+        tori = _tori_between(start, failed, scale)
+        low, high = -1, len(tori) - 1  # tori[high] == shape passed
+        while high - low > 1:
+            mid = (low + high) // 2
+            trial, negative = _quarter_spectrum(lags, tori[mid])
+            if negative <= _JITTER_MAX:
+                high, shape, eig = mid, tori[mid], trial
+            else:
+                low = mid
+    root = np.sqrt(np.maximum(eig, 0.0, out=eig), out=eig)
+    # rows mx/2 + 1 .. mx - 1 of the half-spectrum mirror rows mx/2 - 1 .. 1
+    return LatticeKernel(nx, ny, shape,
+                         np.concatenate([root, root[shape[0] // 2 - 1 : 0 : -1]]))
 
 
 def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np.ndarray:

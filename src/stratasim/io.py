@@ -336,6 +336,11 @@ def save_raster(path, stack: LayerStack, text: list[list[str]] | None = None):
     for c, (x, y) in enumerate(pts.tolist()):
         node = f"{x!r},{y!r},"
         lines.extend(node + layer + row[c] for layer, row in zip(layers, text))
+    _write_rows(path, lines)
+
+
+def _write_rows(path, lines: list[str]) -> None:
+    """A CSV file of rows already joined, with ``csv.writer``'s line ends."""
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -369,25 +374,34 @@ def save_stack_grid(path, stack: LayerStack, text: list[list[str]] | None = None
 
 
 def save_polylines(path, distances, boundaries):
-    """Layer-boundary polylines: (transect_distance, depth, layer_index)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["transect_distance_km", "depth_m", "layer_index"])
-        for j in range(boundaries.shape[0]):
-            for c, d in enumerate(distances):
-                writer.writerow([_fmt(d), _fmt(boundaries[j, c]), j])
+    """Layer-boundary polylines: (transect_distance, depth, layer_index).
+
+    The rows are joined as strings, as ``csv.writer`` writes them: each
+    distance is formatted once, and no value needs quoting.
+    """
+    dist = [_fmt(d) for d in distances]
+    lines = ["transect_distance_km,depth_m,layer_index"]
+    for j, row in enumerate(np.asarray(boundaries, dtype=float).tolist()):
+        lines.extend(f"{d},{z!r},{j}" for d, z in zip(dist, row))
+    _write_rows(path, lines)
 
 
 def save_section(path, distances, columns):
-    """Facies raster of a cross-section, column by column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["transect_distance_km", "layer_index", "facies", "top_m", "bottom_m"]
-        )
-        for c, d in enumerate(distances):
-            for j, facies, top, bottom in columns[c]:
-                writer.writerow([_fmt(d), j, facies, _fmt(top), _fmt(bottom)])
+    """Facies raster of a cross-section, column by column.
+
+    The rows are joined as strings, as ``csv.writer`` writes them: each
+    distance is formatted once, and each record's "j,facies," prefix once
+    per distinct (j, facies), quoted as ``csv.writer`` quotes it.
+    """
+    prefixes = {}
+    lines = ["transect_distance_km,layer_index,facies,top_m,bottom_m"]
+    for d, records in zip(map(_fmt, distances), columns):
+        for j, facies, top, bottom in records:
+            prefix = prefixes.get((j, facies))
+            if prefix is None:
+                prefix = prefixes[j, facies] = _csv_prefix(j, facies)
+            lines.append(f"{d},{prefix}{float(top)!r},{float(bottom)!r}")
+    _write_rows(path, lines)
 
 
 def save_tcd(path, z_grid, median, q05, q95, empirical):

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from . import gaussnum
 from .errors import NumericError, ParameterError
@@ -149,6 +148,15 @@ def layer_loglik(z_col, locations, params: LayerParams, cdf_tol: float = 1e-4) -
     return kernel_loglik(kernel, z[mask], params, cdf_tol)
 
 
+def _norm_pdf(x):
+    """The standard normal density, in the operations of scipy's
+    ``norm.pdf`` and to its bits, without importing ``scipy.stats``.  As
+    there, x is an array: numpy squares it as x * x, where a float's
+    ``x**2`` is ``pow``, which can differ in the last bit."""
+    x = np.asarray(x, dtype=float)
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
 def thickness_moments(params: LayerParams):
     """Mean and variance of the positive part of the thickness (beta = 1 only).
 
@@ -161,7 +169,7 @@ def thickness_moments(params: LayerParams):
             f"thickness moments are only available for beta = 1 (got beta = {params.beta})"
         )
     mu, tau = params.mu, params.tau
-    imr = float(norm.pdf(tau) / params.p)  # 1 - Phi(tau) = p
+    imr = float(_norm_pdf(tau) / params.p)  # 1 - Phi(tau) = p
     mean = mu * (imr - tau)
     var = mu * mu * (1.0 + imr * (tau - imr))
     return float(mean), float(var)
@@ -191,7 +199,7 @@ def init_from_empirical(p0: float, mean_thickness: float):
     if not mean_thickness > 0:
         raise ParameterError(f"mean thickness must be positive, got {mean_thickness}")
     tau0 = float(ndtri(1.0 - p0))
-    denom = float(norm.pdf(tau0) / p0 - tau0)
+    denom = float(_norm_pdf(tau0) / p0 - tau0)
     if denom <= 0:
         raise NumericError("inverse-Mills denominator is non-positive")
     return tau0, float(mean_thickness / denom)

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc, truncnorm
@@ -305,6 +306,43 @@ class _FixedNormals:
         return self.z
 
 
+def torus_negative_mass(shape, spacing, spec) -> float:
+    """The circulant-embedding contract of an (mx, my) torus: the clipped
+    negative eigenvalues of its covariance, summed over the full spectrum and
+    divided by mx my.
+
+    The covariance is ``matern`` at the torus distance of every node from
+    node 0, and its eigenvalues are the ``rfft2`` half-spectrum, each column
+    but 0 and my/2 standing for two.
+    """
+    mx, my = shape
+    dx, dy = (spacing * np.minimum(np.arange(m), m - np.arange(m)) for m in (mx, my))
+    eig = np.fft.rfft2(matern(np.hypot(dx[:, None], dy[None, :]), spec)).real
+    weight = np.full(my // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if my % 2 == 0:
+        weight[-1] = 1.0
+    return -float(np.minimum(eig, 0.0).sum(axis=0) @ weight) / (mx * my)
+
+
+def doubling_torus(nx, ny, spacing, spec):
+    """The torus a circulant embedding finds by doubling alone, or None.
+
+    Each axis starts at ``next_fast_len(2(n - 1))``, 1 for an axis of one
+    node, and both double while M = mx*my satisfies M log2 M <= N^2,
+    N = nx*ny, and M <= ``CHOLESKY_BUDGET``^2; the first torus whose
+    ``torus_negative_mass`` is at most 1e-6 is returned.
+    """
+    n = nx * ny
+    mx, my = (next_fast_len(max(2 * (k - 1), 1), real=True) for k in (nx, ny))
+    while (mx * my * np.log2(mx * my) <= float(n) ** 2
+           and mx * my <= gaussnum.CHOLESKY_BUDGET ** 2):
+        if torus_negative_mass((mx, my), spacing, spec) <= 1e-6:
+            return mx, my
+        mx, my = 2 * mx, 2 * my
+    return None
+
+
 def lattice_draw_covariance(kernel: gaussnum.LatticeKernel) -> np.ndarray:
     """Covariance of ``draw_field(kernel, ...)`` over the grid nodes.
 
@@ -389,6 +427,28 @@ def save_raster(path, stack):
                     [_fmt(pts[c, 0]), _fmt(pts[c, 1]), j,
                      stack.parent.layers[j], _fmt(stack.thickness[j, c])]
                 )
+
+
+def save_polylines(path, distances, boundaries):
+    """Layer-boundary polylines written row by row through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["transect_distance_km", "depth_m", "layer_index"])
+        for j in range(boundaries.shape[0]):
+            for c, d in enumerate(distances):
+                writer.writerow([_fmt(d), _fmt(boundaries[j, c]), j])
+
+
+def save_section(path, distances, columns):
+    """Cross-section records written row by row through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["transect_distance_km", "layer_index", "facies", "top_m", "bottom_m"]
+        )
+        for c, d in enumerate(distances):
+            for j, facies, top, bottom in columns[c]:
+                writer.writerow([_fmt(d), j, facies, _fmt(top), _fmt(bottom)])
 
 
 def save_stack_grid(path, stack):

@@ -1,6 +1,8 @@
 """Run configuration parsing and the command-line workflows end to end."""
 
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -70,11 +72,17 @@ class TestRunConfig:
         ("cdf_tol = 0", "cdf_tol must be positive"),
         ("alpha_init = -1", "alpha_init must be positive"),
         ("nu = 2", "nu must be one of (0.5, 1.5, 2.5)"),
+        ("grid_spacing = 0", "grid_spacing must be positive"),
+        ("grid_spacing = -2", "grid_spacing must be positive"),
+        ("grid_nx = 0", "grid_nx must be at least 1"),
+        ("grid_ny = -3", "grid_ny must be at least 1"),
+        ("transect_n = 1", "transect_n must be at least 2"),
     ])
     def test_out_of_range_exit_2_with_line(self, tmp_path, capsys, line, rule):
         path = tmp_path / "run.cfg"
         path.write_text(f"# c\n{line}\n")
-        for argv in (["fit", "--config", str(path), "--seed", "1"],
+        for argv in (["validate", "--config", str(path)],
+                     ["fit", "--config", str(path), "--seed", "1"],
                      ["simulate", "--config", str(path), "--seed", "1",
                       "--mode", "unconditional"]):
             assert main(argv) == 2
@@ -89,6 +97,28 @@ class TestRunConfig:
         )
         cfg = RunConfig.from_file(path)
         assert cfg.sim_params["Green"].alpha == 10.0
+
+    @pytest.mark.parametrize("kind, value, rule", [
+        ("p", "1.5", "p must lie in (0,1)"),
+        ("mu", "0", "mu must be positive"),
+        ("beta", "9", "beta must lie in (0.25, 4.0)"),
+        ("alpha", "-1", "alpha must be positive"),
+    ])
+    def test_sim_param_out_of_support_exit_2_with_line(self, tmp_path, capsys, kind,
+                                                        value, rule):
+        # the offending key on line 4 of five, the other three valid
+        vals = {"p": "0.8", "mu": "1.0", "beta": "1.0", "alpha": "10", kind: value}
+        others = [k for k in likelihood.PARAM_KINDS if k != kind]
+        keys = [*others[:2], kind, *others[2:]]
+        path = tmp_path / "run.cfg"
+        path.write_text("# c\n" + "".join(f"param.Green.{k} = {vals[k]}\n" for k in keys))
+        for argv in (["validate", "--config", str(path)],
+                     ["simulate", "--config", str(path), "--seed", "1",
+                      "--mode", "unconditional"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:4: param.Green.{kind}: {rule}" in err
+            assert "Traceback" not in err
 
     def test_incomplete_sim_params(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -587,3 +617,11 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "compatible" in out and "p0" in out and "Green" in out
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.4 s to import, and the package needs it only
+    # for the Sobol points of an orthant probability, imported on first use
+    code = "import sys, stratasim.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+

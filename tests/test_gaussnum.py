@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft
 from scipy.stats import norm, truncnorm
 
 import oracles
 from stratasim.errors import CapacityError, NumericError, ParameterError
 from stratasim import gaussnum
 from stratasim.gaussnum import (
+    ALLOWED_NU,
     CHOLESKY_BUDGET,
     _ppf_below,
     MaternSpec,
@@ -653,11 +655,107 @@ class TestLatticeKernel:
         assert lattice_kernel(16, 16, 2.0, MaternSpec(1.5, 20.0)) is None
 
     def test_embedding_size_rule(self):
-        # 50 x 50: starts at next_fast_len(98) = 100 per axis, doubles while
-        # M log2 M <= 2500^2, so 800 x 800 is never tried
-        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 10.0)).shape == (200, 200)
-        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 20.0)).shape == (400, 400)
+        # 50 x 50 at 2 km starts at 100 per axis and doubles while
+        # M log2 M <= 2500^2, so 800 x 800 is never tried; the torus that
+        # passes, 200 or 400, brackets the smallest even 5-smooth one
+        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 10.0)).shape == (108, 108)
+        assert lattice_kernel(50, 50, 2.0, MaternSpec(1.5, 20.0)).shape == (240, 240)
         assert lattice_kernel(50, 50, 0.1, MaternSpec(1.5, 20.0)) is None
+        # the config's default 101 x 101 grid at 1 km: 400 and 800 by doubling
+        assert lattice_kernel(101, 101, 1.0, MaternSpec(1.5, 10.0)).shape == (240, 240)
+        assert lattice_kernel(101, 101, 1.0, MaternSpec(1.5, 20.0)).shape == (480, 480)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nx=st.integers(1, 24),
+        ny=st.integers(1, 24),
+        nu=st.sampled_from(ALLOWED_NU),
+        alpha=st.floats(0.2, 30.0),
+        spacing=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    )
+    def test_smallest_torus_against_doubling(self, nx, ny, nu, alpha, spacing):
+        # every torus found is even (1 on an axis of one node) and meets the
+        # oracle's contract.  The doubling oracle's tori bracket the search,
+        # so where both start alike it finds an embedding exactly where
+        # doubling does, no larger.  Two kinds of grid start otherwise: an
+        # axis of one node keeps a torus of one node, whose contract is no
+        # worse than that of doubling's 2^k nodes (its eigenvalues are their
+        # means), so the search may also find an embedding where doubling
+        # finds none; and an odd doubling start (15, 27, 45, ... for 8, 14,
+        # 22, 23, ... nodes) starts here at the next even 5-smooth length,
+        # where the contract may pass or fail either way.
+        spec = MaternSpec(nu, alpha)
+        kernel = lattice_kernel(nx, ny, spacing, spec)
+        want = oracles.doubling_torus(nx, ny, spacing, spec)
+        if kernel is not None:
+            mx, my = kernel.shape
+            assert kernel.sqrt_eig.shape == (mx, my // 2 + 1)
+            for m, n in ((mx, nx), (my, ny)):
+                assert m == 1 if n == 1 else (m % 2 == 0 and m >= 2 * (n - 1))
+            assert oracles.torus_negative_mass(kernel.shape, spacing, spec) <= 1e-6
+        start = [fft.next_fast_len(max(2 * (n - 1), 1), real=True) for n in (nx, ny)]
+        if any(n > 1 and m % 2 for m, n in zip(start, (nx, ny))):
+            return
+        if want is not None:
+            assert kernel is not None
+            assert kernel.shape[0] <= want[0] and kernel.shape[1] <= want[1]
+        elif min(nx, ny) > 1:
+            assert kernel is None
+
+    @pytest.mark.parametrize("n, spacing, nu, alpha", [
+        # test_fieldsim's recorded paths: the benchmark's 16 x 16 and 50 x 50
+        # grids at 2 km, the default 101 x 101 at 1 km, 12 x 12 at 9 km
+        *[(n, s, 1.5, a) for n, s in ((16, 2.0), (50, 2.0), (101, 1.0), (12, 9.0))
+          for a in (10.0, 20.0)],
+        # test_fieldsim's ALT_PARAMS specs on its 8 x 8 grid at 2 km
+        (8, 2.0, 1.5, 12.0), (8, 2.0, 2.5, 6.0), (8, 2.0, 0.5, 6.0),
+    ])
+    def test_recorded_specs_find_an_embedding_where_doubling_does(self, n, spacing, nu,
+                                                                  alpha):
+        spec = MaternSpec(nu, alpha)
+        want = oracles.doubling_torus(n, n, spacing, spec)
+        kernel = lattice_kernel(n, n, spacing, spec)
+        assert (kernel is None) == (want is None)
+
+    def test_axis_of_one_node_keeps_a_torus_of_one_node(self):
+        spec = MaternSpec(1.5, 3.0)
+        for nx, ny in ((30, 1), (1, 30), (1, 1)):
+            kernel = lattice_kernel(nx, ny, 1.0, spec)
+            assert kernel is not None
+            assert [m == 1 for m in kernel.shape] == [nx == 1, ny == 1]
+            assert oracles.torus_negative_mass(kernel.shape, 1.0, spec) <= 1e-6
+            draw = draw_field(kernel, np.random.default_rng(0))
+            assert draw.shape == (nx * ny,) and np.all(np.isfinite(draw))
+
+    @staticmethod
+    def _lag_covariance(kernel):
+        """Covariance of the draws at every node lag (0..nx-1, 0..ny-1): the
+        first row of the circulant whose eigenvalues are ``sqrt_eig**2``."""
+        lags = fft.irfft2(kernel.sqrt_eig ** 2, s=kernel.shape)
+        return lags[: kernel.nx, : kernel.ny]
+
+    def test_lag_covariance_is_the_draw_covariance(self):
+        # the lag formula of the next test, against the covariance of draws
+        # from unit normals: lags are even in each axis, so entry (a, b) of
+        # the grid covariance is the lag (|ax - bx|, |ay - by|)
+        kernel = lattice_kernel(7, 11, 1.0, MaternSpec(1.5, 0.5))
+        lags = self._lag_covariance(kernel)
+        i, j = np.divmod(np.arange(7 * 11), 11)
+        want = lags[np.abs(i[:, None] - i), np.abs(j[:, None] - j)]
+        got = oracles.lattice_draw_covariance(kernel)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("n, spacing", [(50, 2.0), (101, 1.0)])
+    @pytest.mark.parametrize("alpha", [10.0, 20.0])
+    def test_draw_law_on_the_recorded_grids(self, n, spacing, alpha):
+        # the synthetic truth's specs on the benchmark's 50 x 50 grid and the
+        # config's default 101 x 101: every covariance entry of the draws is
+        # within the contract's 1e-6 of the Matern covariance
+        spec = MaternSpec(1.5, alpha)
+        kernel = lattice_kernel(n, n, spacing, spec)
+        lag = np.arange(n)
+        want = oracles.matern(spacing * np.hypot(lag[:, None], lag), spec)
+        assert np.max(np.abs(self._lag_covariance(kernel) - want)) <= gaussnum._JITTER_MAX
 
     def test_same_rng_same_bits(self):
         kernel = lattice_kernel(9, 13, 1.0, MaternSpec(1.5, 1.0))

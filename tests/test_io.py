@@ -14,7 +14,12 @@ from stratasim.core import (
     snap_thickness,
 )
 from stratasim.errors import DatasetError
-from stratasim.fieldsim import SimGrid, simulate_conditional, simulate_unconditional
+from stratasim.fieldsim import (
+    SimGrid,
+    cross_section,
+    simulate_conditional,
+    simulate_unconditional,
+)
 from stratasim.likelihood import LayerParams
 from stratasim.mcmc import PosteriorSample
 
@@ -313,3 +318,29 @@ class TestGridWriters:
         io.save_stack_grid(tmp_path / "new.txt", stack)
         oracles.save_stack_grid(tmp_path / "old.txt", stack)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+class TestTransectWriters:
+    """section.csv and polylines.csv are byte for byte ``csv.writer``'s."""
+
+    @pytest.mark.parametrize("names", [("Green", "Red", "Blue"), ("a,b", 'say "q"', "c")])
+    def test_cross_section_files(self, tmp_path, names):
+        # a facies name with the delimiter or the quote character is quoted
+        # as csv.writer quotes it, and the undefined region below the stack
+        # takes its own record
+        parent = ParentSequence((names[0], names[1], names[2], names[0]))
+        params = dict(zip(names, TestGridWriters.PARAMS.values()))
+        stack = simulate_unconditional(
+            SimGrid.transect((0.0, 0.0), (9.3, 4.1), 17), params, parent, 5
+        )
+        dist, columns, boundaries = cross_section(stack)
+        assert {f for records in columns for _, f, *_ in records} >= {names[0], "undefined"}
+        for name, new, old, rows in (
+            ("section.csv", io.save_section, oracles.save_section, columns),
+            ("polylines.csv", io.save_polylines, oracles.save_polylines, boundaries),
+        ):
+            new(tmp_path / f"new_{name}", dist, rows)
+            old(tmp_path / f"old_{name}", dist, rows)
+            want = (tmp_path / f"old_{name}").read_bytes()
+            assert (tmp_path / f"new_{name}").read_bytes() == want
+

@@ -14,6 +14,7 @@ from stratasim.errors import ParameterError
 from stratasim.gaussnum import ALLOWED_NU, MaternSpec, condition, cov_matrix
 from stratasim.likelihood import (
     LayerParams,
+    _norm_pdf,
     init_from_empirical,
     jacobian_inv,
     latent_from_thickness,
@@ -339,6 +340,14 @@ class TestSimulatorLaw:
 
 
 class TestMoments:
+    def test_normal_density_has_the_bits_of_scipy(self):
+        # the moments and the empirical start use the density without
+        # importing scipy.stats; its values are norm.pdf's, bit for bit
+        x = np.random.default_rng(4).normal(0.0, 3.0, 200_000)
+        x = np.concatenate([x, [0.0, -0.0, 1e-300, 8.5, -38.0, 40.0]])
+        assert np.array_equal(_norm_pdf(x), norm.pdf(x))
+        assert all(_norm_pdf(float(v)) == norm.pdf(float(v)) for v in x[:2000])
+
     def test_symmetric_case_values(self):
         mean, var = thickness_moments(_transform_params(1.0, 1.0))
         assert mean == pytest.approx(2.0 * norm.pdf(0.0), abs=1e-9)  # ~0.797885
