@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: fit, simulate, tcd, synth, validate.  Exit codes: 0 success,
-2 parse/validation error, 3 incompatibility or missing chain input,
-4 numeric failure.
+otherwise the ``exit_code`` of the ``StrataError`` raised: 2 parse/validation
+error, 3 incompatibility or missing chain input, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -10,29 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import core, fieldsim, io, likelihood, mcmc, synthgen
 from .config import RunConfig
-from .errors import (
-    CapacityError,
-    DatasetError,
-    DegenerateRegionError,
-    IncompatibleSequenceError,
-    NumericError,
-    ParameterError,
-    StrataError,
-)
-
-EXIT_PARSE = 2
-EXIT_INCOMPATIBLE = 3
-EXIT_NUMERIC = 4
-
-_PARSE_ERRORS = (DatasetError, ParameterError)
-_INCOMPATIBLE_ERRORS = (IncompatibleSequenceError,)
-_NUMERIC_ERRORS = (NumericError, CapacityError, DegenerateRegionError)
+from .errors import DatasetError, IncompatibleSequenceError, ParameterError, StrataError
 
 
 def _load_inputs(cfg: RunConfig):
@@ -73,8 +58,7 @@ def _make_grid(cfg: RunConfig, boreholes=None) -> fieldsim.SimGrid:
         locs = [[b.x, b.y] for b in boreholes]
         vals = [b.ground_level for b in boreholes]
         t0 = fieldsim.idw_ground_level(grid, locs, vals)
-        grid = fieldsim.SimGrid(grid.kind, grid.origin, grid.spacing,
-                                grid.nx, grid.ny, grid.endpoint, t0)
+        grid = replace(grid, t0=t0)
     return grid
 
 
@@ -165,7 +149,7 @@ def cmd_simulate(args) -> int:
         boreholes = io.load_boreholes(cfg.boreholes)
         groups, samples_rows, config_rows = _load_chain(out, parent)
         sample = _select_sample(samples_rows, config_rows, args.selector)
-        mcmc.ThicknessModel(boreholes, parent)  # rejects incompatible boreholes
+        core.check_compatible(boreholes, parent)
         params_by_layer = [
             sample.params[g] for g in _layer_groups(parent, cfg, groups)
         ]
@@ -324,18 +308,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INCOMPATIBLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except StrataError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

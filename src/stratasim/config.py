@@ -1,25 +1,29 @@
-"""Flat key = value run configuration with line-precise validation."""
+"""Flat key = value run configuration with line-precise validation: each
+value is judged by the library type or function that states its rule."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 from .errors import DatasetError, ParameterError
-from .gaussnum import ALLOWED_NU
+from .fieldsim import SimGrid
+from .gaussnum import MaternSpec, check_cdf_tol
+from .io import _open
 from .likelihood import PARAM_KINDS, LayerParams
-from .mcmc import PriorSpec, ProposalSpec
+from .mcmc import PriorSpec, ProposalSpec, check_chain_lengths
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
+_MOVE_KEYS = ("p_split", "p_merge", "p_displace")
+_TRANSECT_KEYS = ("transect_x0", "transect_y0", "transect_x1", "transect_y1")
+_T0_POLICIES = ("constant", "idw")
 
-# (test, what the value must be) for keys whose model range is narrower
-# than their type's
-_POSITIVE = (lambda v: v > 0, "positive")
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-_AT_LEAST_2 = (lambda v: v >= 2, "at least 2")
-_MATERN_NU = (lambda v: v in ALLOWED_NU, f"one of {ALLOWED_NU}")
+
+def _check_t0_policy(t0_policy):
+    if t0_policy not in _T0_POLICIES:
+        raise ParameterError(f"t0_policy must be one of {_T0_POLICIES}, got {t0_policy!r}")
 
 
 @dataclass
@@ -51,12 +55,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         raw: dict[str, tuple[int, str]] = {}
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DatasetError(f"{path}: cannot read config ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path}: cannot decode as UTF-8 ({exc})") from exc
+        with _open(path) as fh:
+            text = fh.read()
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -70,19 +70,33 @@ class RunConfig:
     @classmethod
     def _from_raw(cls, raw, path) -> "RunConfig":
         cfg = cls()
+        lines: dict[str, int] = {}  # line of each key taken
 
-        def take(key, conv, default, rule=None):
+        def judged(build, *keys):
+            """``build()``; a ``ParameterError`` it raises names the line of the
+            first of ``keys`` in the file."""
+            try:
+                return build()
+            except ParameterError as exc:
+                key = min((k for k in keys if k in lines), key=lines.get)
+                raise DatasetError(f"{path}:{lines[key]}: {key}: {exc}") from exc
+
+        def take(key, conv, default, owner=None, name=None):
+            """``key``'s value parsed by ``conv``, or ``default`` when absent,
+            judged by ``owner(**{name or key: value})``: a ``replace`` on a valid
+            instance of the type that holds it, or the function that checks it."""
             if key not in raw:
                 return default
             ln, value = raw.pop(key)
+            lines[key] = ln
             try:
                 out = conv(value)
             except (ValueError, KeyError) as exc:
                 raise DatasetError(f"{path}:{ln}: bad value for {key}: {value!r}") from exc
             if isinstance(out, float) and not math.isfinite(out):
                 raise DatasetError(f"{path}:{ln}: {key} must be finite, got {value!r}")
-            if rule is not None and not rule[0](out):
-                raise DatasetError(f"{path}:{ln}: {key} must be {rule[1]}, got {value!r}")
+            if owner is not None:
+                judged(lambda: owner(**{name or key: out}), key)
             return out
 
         def boolean(v):
@@ -91,80 +105,66 @@ class RunConfig:
         cfg.boreholes = take("boreholes", str, cfg.boreholes)
         cfg.parent = take("parent", str, cfg.parent)
         cfg.output_dir = take("output_dir", str, cfg.output_dir)
-        cfg.nu = take("nu", float, cfg.nu, _MATERN_NU)
+        matern = partial(replace, MaternSpec(cfg.nu, cfg.alpha_init))
+        cfg.nu = take("nu", float, cfg.nu, matern)
+        cfg.alpha_init = take("alpha_init", float, cfg.alpha_init, matern, "alpha")
         cfg.tie_by_facies = take("tie_by_facies", boolean, cfg.tie_by_facies)
-        cfg.priors = PriorSpec(
-            eps_alpha=take("eps_alpha", float, cfg.priors.eps_alpha),
-            alpha0=take("alpha0", float, cfg.priors.alpha0),
-            eps_mu=take("eps_mu", float, cfg.priors.eps_mu),
-            mu0=take("mu0", float, cfg.priors.mu0),
+        prior = partial(replace, cfg.priors)
+        cfg.priors = PriorSpec(**{
+            f.name: take(f.name, float, getattr(cfg.priors, f.name), prior)
+            for f in fields(PriorSpec)
+        })
+        proposal = partial(replace, cfg.proposals)
+        widths = {
+            f"d_{k}": take(f"d_{k}", float, cfg.proposals.width(k), proposal)
+            for k in PARAM_KINDS
+        }
+        probs = tuple(
+            take(k, float, p) for k, p in zip(_MOVE_KEYS, cfg.proposals.move_probs)
         )
-        cfg.proposals = ProposalSpec(
-            d_mu=take("d_mu", float, cfg.proposals.d_mu),
-            d_beta=take("d_beta", float, cfg.proposals.d_beta),
-            d_p=take("d_p", float, cfg.proposals.d_p),
-            d_alpha=take("d_alpha", float, cfg.proposals.d_alpha),
-            move_probs=(
-                take("p_split", float, cfg.proposals.move_probs[0]),
-                take("p_merge", float, cfg.proposals.move_probs[1]),
-                take("p_displace", float, cfg.proposals.move_probs[2]),
-            ),
+        cfg.proposals = judged(lambda: ProposalSpec(**widths, move_probs=probs), *_MOVE_KEYS)
+        cfg.n_iter, cfg.burn_in, cfg.thin = (
+            take(k, int, getattr(cfg, k), check_chain_lengths)
+            for k in ("n_iter", "burn_in", "thin")
         )
-        cfg.n_iter = take("n_iter", int, cfg.n_iter)
-        cfg.burn_in = take("burn_in", int, cfg.burn_in)
-        cfg.thin = take("thin", int, cfg.thin)
-        cfg.cdf_tol = take("cdf_tol", float, cfg.cdf_tol, _POSITIVE)
-        cfg.alpha_init = take("alpha_init", float, cfg.alpha_init, _POSITIVE)
+        cfg.cdf_tol = take("cdf_tol", float, cfg.cdf_tol, check_cdf_tol, "tol")
         cfg.grid_origin = (
             take("grid_origin_x", float, cfg.grid_origin[0]),
             take("grid_origin_y", float, cfg.grid_origin[1]),
         )
-        cfg.grid_spacing = take("grid_spacing", float, cfg.grid_spacing, _POSITIVE)
-        cfg.grid_nx = take("grid_nx", int, cfg.grid_nx, _AT_LEAST_1)
-        cfg.grid_ny = take("grid_ny", int, cfg.grid_ny, _AT_LEAST_1)
-        if any(k in raw for k in ("transect_x0", "transect_y0", "transect_x1", "transect_y1")):
-            cfg.transect = (
-                take("transect_x0", float, 0.0),
-                take("transect_y0", float, 0.0),
-                take("transect_x1", float, 0.0),
-                take("transect_y1", float, 0.0),
-            )
-        cfg.transect_n = take("transect_n", int, cfg.transect_n, _AT_LEAST_2)
+        grid = partial(replace, SimGrid.regular((0.0, 0.0), 1.0, 1, 1))
+        cfg.grid_spacing = take("grid_spacing", float, cfg.grid_spacing, grid, "spacing")
+        cfg.grid_nx = take("grid_nx", int, cfg.grid_nx, grid, "nx")
+        cfg.grid_ny = take("grid_ny", int, cfg.grid_ny, grid, "ny")
+        transect = partial(replace, SimGrid.transect((0.0, 0.0), (1.0, 0.0), cfg.transect_n))
+        cfg.transect_n = take("transect_n", int, cfg.transect_n, transect, "nx")
+        if any(k in raw for k in _TRANSECT_KEYS):
+            x0, y0, x1, y1 = (take(k, float, 0.0) for k in _TRANSECT_KEYS)
+            judged(lambda: SimGrid.transect((x0, y0), (x1, y1), cfg.transect_n),
+                   *_TRANSECT_KEYS)
+            cfg.transect = (x0, y0, x1, y1)
         cfg.t0 = take("t0", float, cfg.t0)
-        cfg.t0_policy = take("t0_policy", str, cfg.t0_policy)
-        if cfg.t0_policy not in ("constant", "idw"):
-            raise DatasetError(f"{path}: t0_policy must be 'constant' or 'idw'")
+        cfg.t0_policy = take("t0_policy", str, cfg.t0_policy, _check_t0_policy)
 
-        # simulation parameters: param.<facies>.<name> = value
+        # simulation parameters: param.<facies>.<name> = value, each judged
+        # by LayerParams on its own in a valid set
+        layer = partial(replace, LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0, nu=cfg.nu))
         sim: dict[str, dict[str, float]] = {}
-        lines: dict[str, int] = {}
         for key in [k for k in raw if k.startswith("param.")]:
             parts = key.split(".")
-            lines[key] = raw[key][0]
             if len(parts) != 3 or parts[2] not in PARAM_KINDS:
-                raise DatasetError(f"{path}:{lines[key]}: bad parameter key {key!r}")
-            sim.setdefault(parts[1], {})[parts[2]] = take(key, float, None)
-        # LayerParams states each support; a value is judged on its own in a
-        # valid set, so the error names its key's line
-        valid = LayerParams(p=0.5, mu=1.0, beta=1.0, alpha=1.0, nu=cfg.nu)
+                raise DatasetError(f"{path}:{raw[key][0]}: bad parameter key {key!r}")
+            sim.setdefault(parts[1], {})[parts[2]] = take(key, float, None, layer, parts[2])
         for facies, vals in sim.items():
-            missing = set(PARAM_KINDS) - set(vals)
+            missing = sorted(set(PARAM_KINDS) - set(vals))
             if missing:
+                key = min((f"param.{facies}.{k}" for k in vals), key=lines.get)
                 raise DatasetError(
-                    f"{path}: param.{facies}.* is missing {sorted(missing)}"
+                    f"{path}:{lines[key]}: {key}: param.{facies}.* is missing {missing}"
                 )
-            for kind, value in vals.items():
-                key = f"param.{facies}.{kind}"
-                try:
-                    replace(valid, **{kind: value})
-                except ParameterError as exc:
-                    raise DatasetError(f"{path}:{lines[key]}: {key}: {exc}") from exc
             cfg.sim_params[facies] = LayerParams(**vals, nu=cfg.nu)
 
         if raw:
             key = next(iter(raw))
-            ln, _ = raw[key]
-            raise DatasetError(f"{path}:{ln}: unknown config key {key!r}")
-        if cfg.n_iter < 0 or cfg.burn_in < 0 or cfg.thin < 1:
-            raise DatasetError(f"{path}: chain lengths must be non-negative, thin >= 1")
+            raise DatasetError(f"{path}:{raw[key][0]}: unknown config key {key!r}")
         return cfg

@@ -40,16 +40,6 @@ def snap_thickness(z):
     return np.round(np.asarray(z, dtype=float) / THICKNESS_QUANTUM) * THICKNESS_QUANTUM
 
 
-def valid_record_thickness(z) -> bool:
-    """True if a record thickness snaps to a finite value of at least 1e-9 m.
-
-    Scalar arithmetic with the same result as ``snap_thickness``: the scaling
-    by the quantum is exact and ``round`` also rounds half to even.
-    """
-    q = float(z) / THICKNESS_QUANTUM
-    return math.isfinite(q) and round(q) * THICKNESS_QUANTUM >= 1e-9
-
-
 @dataclass(frozen=True)
 class ParentSequence:
     """Ordered regional template of facies codes."""
@@ -84,7 +74,8 @@ class BoreholeObservation:
     Records are ordered top-down; thicknesses are in metres and snapped to
     the dyadic grid at construction and must be positive.  Coordinates,
     ground level and thicknesses must be finite.  Consecutive records must
-    carry different facies (each record is a maximal run).
+    carry different facies (each record is a maximal run).  A record that
+    breaks these rules raises ``DatasetError`` with its index as ``position``.
     """
 
     id: str
@@ -101,16 +92,18 @@ class BoreholeObservation:
         recs = []
         prev = None
         for k, (facies, z) in enumerate(self.records):
-            if not valid_record_thickness(z):
+            snapped = float(snap_thickness(z))
+            if not (math.isfinite(snapped) and snapped >= 1e-9):
                 raise DatasetError(
                     f"borehole {self.id}: record {k} has non-positive or non-finite "
-                    f"thickness {z!r}"
+                    f"thickness {z!r}", position=k
                 )
             if prev is not None and facies == prev:
                 raise DatasetError(
-                    f"borehole {self.id}: records {k - 1} and {k} share facies {facies!r}"
+                    f"borehole {self.id}: records {k - 1} and {k} share facies {facies!r}",
+                    position=k,
                 )
-            recs.append((str(facies), float(snap_thickness(z))))
+            recs.append((str(facies), snapped))
             prev = facies
         object.__setattr__(self, "records", tuple(recs))
 
@@ -170,6 +163,16 @@ def is_compatible(obs_facies: Sequence[str], parent: ParentSequence) -> bool:
     """True iff the observed facies list is a subsequence of the parent."""
     it = iter(parent.layers)
     return all(f in it for f in obs_facies)
+
+
+def check_compatible(boreholes: Sequence[BoreholeObservation], parent: ParentSequence):
+    """Raise ``IncompatibleSequenceError`` listing every borehole whose facies
+    are not a subsequence of the parent."""
+    bad = [b.id for b in boreholes if not is_compatible([f for f, _ in b.records], parent)]
+    if bad:
+        raise IncompatibleSequenceError(
+            f"boreholes incompatible with the parent sequence: {', '.join(bad)}"
+        )
 
 
 def observe(cfg: AugmentedConfiguration, parent: ParentSequence) -> list[tuple[str, float]]:

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; each class carries the
+exit code the command line returns for it."""
 
 
 class StrataError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``position`` is the index of the
+    offending record or layer, if any, for a file reader to name its line."""
+
+    exit_code = 2
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class ParameterError(StrataError):
@@ -12,17 +20,11 @@ class ParameterError(StrataError):
 class InvalidConfigurationError(StrataError):
     """A thickness vector violates the configuration invariants."""
 
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
 
 class IncompatibleSequenceError(StrataError):
     """An observed facies sequence is not a subsequence of the parent."""
 
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
+    exit_code = 3
 
 
 class InfeasibleMoveError(StrataError):
@@ -32,13 +34,19 @@ class InfeasibleMoveError(StrataError):
 class NumericError(StrataError):
     """A numerical routine failed (singular matrix, non-convergence, ...)."""
 
+    exit_code = 4
+
 
 class CapacityError(StrataError):
     """A problem size exceeds a fixed capacity of the numeric kernels."""
 
+    exit_code = 4
+
 
 class DegenerateRegionError(StrataError):
     """The truncation region has vanishing probability."""
+
+    exit_code = 4
 
 
 class PlacementError(StrataError):

@@ -38,22 +38,29 @@ class SimGrid:
     endpoint: tuple[float, float] | None = None
     t0: float | np.ndarray = 0.0
 
+    def __post_init__(self):
+        if self.kind == "transect":
+            if self.nx < 2:
+                raise ParameterError(f"a transect's nx must be at least 2, got {self.nx}")
+            if self.endpoint == self.origin:
+                raise ParameterError("transect endpoints coincide")
+        if not self.spacing > 0:
+            raise ParameterError(f"spacing must be positive, got {self.spacing}")
+        for name, n in (("nx", self.nx), ("ny", self.ny)):
+            if n < 1:
+                raise ParameterError(f"{name} must be at least 1, got {n}")
+
     @classmethod
     def regular(cls, origin, spacing, nx, ny, t0=0.0) -> "SimGrid":
-        if spacing <= 0 or nx < 1 or ny < 1:
-            raise ParameterError("grid needs positive spacing and dimensions")
         return cls("grid", (float(origin[0]), float(origin[1])), float(spacing),
                    int(nx), int(ny), None, t0)
 
     @classmethod
     def transect(cls, start, end, n, t0=0.0) -> "SimGrid":
-        if n < 2:
-            raise ParameterError("transect needs at least two stations")
         start = (float(start[0]), float(start[1]))
         end = (float(end[0]), float(end[1]))
-        step = float(np.hypot(end[0] - start[0], end[1] - start[1])) / (n - 1)
-        if step <= 0:
-            raise ParameterError("transect endpoints coincide")
+        # fewer than two stations have no step; the constructor rejects them
+        step = float(np.hypot(end[0] - start[0], end[1] - start[1])) / max(int(n) - 1, 1)
         return cls("transect", start, step, int(n), 1, end, t0)
 
     @property

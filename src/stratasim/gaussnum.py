@@ -314,6 +314,12 @@ def _genz_probs(lower_chol, b, u01) -> np.ndarray:
     return prob
 
 
+def check_cdf_tol(tol: float):
+    """The rule on ``mvn_cdf_below``'s error tolerance: it must be positive."""
+    if not tol > 0:
+        raise ParameterError(f"the orthant-probability tolerance must be positive, got {tol}")
+
+
 def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
     """P(X_1 < b_1, ..., X_d < b_d) with an error estimate.
 
@@ -336,8 +342,7 @@ def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
         return 1.0, 0.0
     if d > _DIM_CAP:
         raise CapacityError(f"dimension {d} exceeds the orthant-probability cap {_DIM_CAP}")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    check_cdf_tol(tol)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     bc = b - np.asarray(mean, dtype=float)
     if d == 1:

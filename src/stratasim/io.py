@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    AugmentedConfiguration,
-    BoreholeObservation,
-    ParentSequence,
-    valid_record_thickness,
-)
+from .core import AugmentedConfiguration, BoreholeObservation, ParentSequence
 from .errors import DatasetError, InvalidConfigurationError, ParameterError
 from .fieldsim import LayerStack
 from .likelihood import PARAM_KINDS, LayerParams
@@ -77,10 +72,9 @@ def load_boreholes(path) -> list[BoreholeObservation]:
     """Borehole CSV: one row per record, ordered top-down per borehole.
 
     Each borehole's rows are contiguous, its record indices run 0, 1, 2, ...
-    and every row repeats its coordinates and ground level.  Numbers must be
-    finite, thicknesses positive once snapped to the thickness grid, and
-    adjacent records of one borehole of different facies.  A violation of
-    these rules raises ``DatasetError`` naming ``path:line``.
+    and every row repeats its coordinates and ground level; numbers must be
+    finite.  ``BoreholeObservation`` then judges each borehole's records.
+    A violation of either raises ``DatasetError`` naming ``path:line``.
     """
     seen: dict[str, dict] = {}
     prev = None
@@ -117,24 +111,18 @@ def load_boreholes(path) -> list[BoreholeObservation]:
                     f"{path}:{ln}: borehole {bid}: record indices are not consecutive "
                     f"from 0 (got {ridx}, expected {len(info['records'])})"
                 )
-            if not valid_record_thickness(z):
-                raise DatasetError(
-                    f"{path}:{ln}: borehole {bid}: thickness {z!r} is not positive "
-                    f"after snapping to the thickness grid"
-                )
-            if info["records"] and info["records"][-1][0] == facies:
-                raise DatasetError(
-                    f"{path}:{ln}: borehole {bid}: records {ridx - 1} and {ridx} "
-                    f"share facies {facies!r}"
-                )
             info["records"].append((facies, z))
             prev = bid
     if not seen:
         raise DatasetError(f"{path}: no borehole records")
-    return [
-        BoreholeObservation(bid, *info["site"], tuple(info["records"]))
-        for bid, info in seen.items()
-    ]
+    boreholes = []
+    for bid, info in seen.items():
+        try:
+            boreholes.append(BoreholeObservation(bid, *info["site"], tuple(info["records"])))
+        except DatasetError as exc:
+            # contiguous rows with consecutive indices: record k is on line + k
+            raise DatasetError(f"{path}:{info['line'] + exc.position}: {exc}") from exc
+    return boreholes
 
 
 def save_boreholes(path, boreholes: list[BoreholeObservation]):

@@ -33,17 +33,13 @@ from .core import (
     BoreholeObservation,
     ParentSequence,
     apply_move,
+    check_compatible,
     enumerate_moves,
     initial_augmentation,
-    is_compatible,
     observe,
     snap_thickness,
 )
-from .errors import (
-    IncompatibleSequenceError,
-    NumericError,
-    ParameterError,
-)
+from .errors import NumericError, ParameterError
 from .gaussnum import ConditionalKernel, MaternSpec
 from .likelihood import PARAM_KINDS, LayerParams, init_from_empirical
 
@@ -62,9 +58,10 @@ class PriorSpec:
     def __post_init__(self):
         for name, eps in (("eps_alpha", self.eps_alpha), ("eps_mu", self.eps_mu)):
             if not 0.0 < eps < 1.0:
-                raise ParameterError(f"{name} must lie in (0,1)")
-        if not (self.alpha0 > 0 and self.mu0 > 0):
-            raise ParameterError("alpha0 and mu0 must be positive")
+                raise ParameterError(f"{name} must lie in (0,1), got {eps}")
+        for name, scale in (("alpha0", self.alpha0), ("mu0", self.mu0)):
+            if not scale > 0:
+                raise ParameterError(f"{name} must be positive, got {scale}")
 
     @property
     def lambda_alpha(self) -> float:
@@ -86,10 +83,13 @@ class ProposalSpec:
     move_probs: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
 
     def __post_init__(self):
-        if not all(self.width(which) > 0 for which in PARAM_KINDS):
-            raise ParameterError("proposal widths must be positive")
+        for which in PARAM_KINDS:
+            if not self.width(which) > 0:
+                raise ParameterError(f"d_{which} must be positive, got {self.width(which)}")
         if abs(sum(self.move_probs) - 1.0) > 1e-12 or min(self.move_probs) < 0:
-            raise ParameterError("move probabilities must be non-negative and sum to 1")
+            raise ParameterError(
+                f"move probabilities must be non-negative and sum to 1, got {self.move_probs}"
+            )
 
     def width(self, which: str) -> float:
         """Half-width ``d_<which>`` of one kind in ``PARAM_KINDS``."""
@@ -146,11 +146,7 @@ class ThicknessModel:
         tie_by_facies: bool = True,
         cdf_tol: float = 1e-3,
     ):
-        bad = [b.id for b in boreholes if not is_compatible([f for f, _ in b.records], parent)]
-        if bad:
-            raise IncompatibleSequenceError(
-                f"boreholes incompatible with the parent sequence: {', '.join(bad)}"
-            )
+        check_compatible(boreholes, parent)
         self.boreholes = list(boreholes)
         self.parent = parent
         self.nu = float(nu)
@@ -403,6 +399,15 @@ def _audit(model: ThicknessModel, state: ChainState, tol: float = 1e-6):
             )
 
 
+def check_chain_lengths(n_iter: int = 0, burn_in: int = 0, thin: int = 1):
+    """The chain-length rule: ``n_iter`` and ``burn_in`` at least 0, ``thin``
+    at least 1.  A length outside it raises ``ParameterError``."""
+    for name, value, least in (("n_iter", n_iter, 0), ("burn_in", burn_in, 0),
+                               ("thin", thin, 1)):
+        if value < least:
+            raise ParameterError(f"{name} must be at least {least}, got {value}")
+
+
 def run_chain(
     boreholes: list[BoreholeObservation],
     parent: ParentSequence,
@@ -423,6 +428,7 @@ def run_chain(
     accepted/proposed counters per parameter kind and per move kind, and the
     initial log-likelihood.
     """
+    check_chain_lengths(n_iter, burn_in, thin)
     model = ThicknessModel(
         boreholes, parent, nu=nu, tie_by_facies=tie_by_facies, cdf_tol=cdf_tol
     )

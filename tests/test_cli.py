@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stratasim import io, likelihood, mcmc
+from stratasim import cli, errors, io, likelihood, mcmc
 from stratasim.cli import main
 from stratasim.config import RunConfig
 from stratasim.errors import DatasetError
@@ -77,8 +77,23 @@ class TestRunConfig:
         ("grid_nx = 0", "grid_nx must be at least 1"),
         ("grid_ny = -3", "grid_ny must be at least 1"),
         ("transect_n = 1", "transect_n must be at least 2"),
+        ("d_mu = -1", "d_mu must be positive"),
+        ("p_split = 0.9", "move probabilities must be non-negative and sum to 1"),
+        ("eps_alpha = 2", "eps_alpha must lie in (0,1)"),
+        ("alpha0 = 0", "alpha0 must be positive"),
+        ("n_iter = -1", "n_iter must be at least 0"),
+        ("burn_in = -1", "burn_in must be at least 0"),
+        ("thin = 0", "thin must be at least 1"),
+        ("transect_x0 = 3\ntransect_y0 = 3\ntransect_x1 = 3\ntransect_y1 = 3",
+         "transect endpoints coincide"),
+        ("t0_policy = foo", "t0_policy must be one of ('constant', 'idw')"),
+        ("param.Green.p = 0.8", "param.Green.* is missing"),
     ])
     def test_out_of_range_exit_2_with_line(self, tmp_path, capsys, line, rule):
+        # reported as path:line: key: <the owning type's message>, which
+        # holds the rule's words: the rule less a leading key
+        key = line.partition(" = ")[0]
+        words = rule.removeprefix(f"{key} ")
         path = tmp_path / "run.cfg"
         path.write_text(f"# c\n{line}\n")
         for argv in (["validate", "--config", str(path)],
@@ -87,7 +102,8 @@ class TestRunConfig:
                       "--mode", "unconditional"]):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert f"{path}:2: {rule}" in err and "Traceback" not in err
+            assert f"{path}:2: {key}: " in err and words in err
+            assert "Traceback" not in err
 
     def test_sim_params(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -609,6 +625,30 @@ def test_undecodable_input_file_exit_2(workspace, tmp_path, capsys, command,
     assert main([command, "--config", str(cfg2), *_COMMAND_ARGS[command]]) == 2
     err = capsys.readouterr().err
     assert f"{bad}: cannot decode as UTF-8" in err and "Traceback" not in err
+
+
+_EXIT_CODES = {
+    errors.StrataError: 2, errors.ParameterError: 2,
+    errors.InvalidConfigurationError: 2, errors.InfeasibleMoveError: 2,
+    errors.PlacementError: 2, errors.DatasetError: 2,
+    errors.IncompatibleSequenceError: 3,
+    errors.NumericError: 4, errors.CapacityError: 4, errors.DegenerateRegionError: 4,
+}
+
+
+def test_exit_codes_cover_every_error_class():
+    assert set(_EXIT_CODES) == {errors.StrataError, *errors.StrataError.__subclasses__()}
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODES), ids=lambda e: e.__name__)
+def test_exit_code_of_each_error(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("no good")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "--config", "run.cfg"]) == _EXIT_CODES[error]
+    err = capsys.readouterr().err
+    assert "error: no good" in err and "Traceback" not in err
 
 
 class TestValidate:

@@ -53,6 +53,21 @@ class TestSimGrid:
         with pytest.raises(ParameterError):
             SimGrid.regular((0, 0), 1.0, 3, 3).distances()
 
+    @pytest.mark.parametrize("args", [
+        ("grid", (0.0, 0.0), 0.0, 3, 3),
+        ("grid", (0.0, 0.0), 1.0, 0, 3),
+        ("grid", (0.0, 0.0), 1.0, 3, -1),
+        ("transect", (0.0, 0.0), 1.0, 1, 1, (1.0, 0.0)),
+        ("transect", (2.0, 1.0), 1.0, 5, 1, (2.0, 1.0)),
+    ])
+    def test_constructor_checks(self, args):
+        with pytest.raises(ParameterError):
+            SimGrid(*args)
+
+    def test_single_station_transect_rejected(self):
+        with pytest.raises(ParameterError, match="nx must be at least 2"):
+            SimGrid.transect((0, 0), (1, 0), 1)
+
     def test_ground_level_broadcast(self):
         grid = SimGrid.regular((0, 0), 1.0, 2, 2, t0=3.5)
         assert np.array_equal(grid.ground_level(), [3.5] * 4)

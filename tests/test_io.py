@@ -105,6 +105,20 @@ class TestBoreholeFile:
     def test_non_finite_number_reports_line(self, tmp_path, row):
         self._rejected_at(tmp_path, ["a,1.0,2.0,0.5,0,Green,1.0", row], 3)
 
+    @pytest.mark.parametrize("row", [
+        "a,nan,2.0,0.5,1,Blue,1.0",
+        "a,1.0,-inf,0.5,1,Blue,1.0",
+        "a,1.0,2.0,NaN,1,Blue,1.0",
+    ])
+    def test_non_finite_site_is_not_a_conflicting_location(self, tmp_path, row):
+        # nan != nan: without its own finiteness rule the reader would report
+        # the second row's site as differing from the first's
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n"
+                        "a,1.0,2.0,0.5,0,Green,1.0\n" + row + "\n")
+        with pytest.raises(DatasetError, match="bh.csv:3: non-finite number"):
+            io.load_boreholes(path)
+
     def test_first_record_index_must_be_zero(self, tmp_path):
         self._rejected_at(tmp_path, ["a,1.0,2.0,0.5,1,Green,1.0"], 2)
 

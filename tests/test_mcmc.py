@@ -388,6 +388,20 @@ class TestRunChain:
         assert np.isfinite(diag["initial_loglik"])
         assert diag["loglik_trace"] == []
 
+    @pytest.mark.parametrize("name, lengths", [
+        ("thin", dict(n_iter=5, burn_in=0, thin=0)),
+        ("n_iter", dict(n_iter=-1, burn_in=0, thin=1)),
+        ("burn_in", dict(n_iter=5, burn_in=-1, thin=1)),
+    ])
+    def test_bad_chain_length_rejected_before_iterating(self, monkeypatch, name, lengths):
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("the chain iterated")
+
+        monkeypatch.setattr(mcmc, "update_parameter", no_iteration)
+        with pytest.raises(ParameterError, match=f"{name} must be at least"):
+            run_chain(_toy_boreholes(), SYNTH_PARENT, PriorSpec(), ProposalSpec(),
+                      seed=0, **lengths)
+
     def test_deterministic_given_seed(self):
         kwargs = dict(n_iter=40, burn_in=10, thin=5, seed=123, cdf_tol=1e-2)
         s1, d1 = run_chain(_toy_boreholes(), SYNTH_PARENT,
