@@ -3,12 +3,13 @@
 Layers are simulated independently (per-layer seeded streams), transformed
 to thicknesses, and stacked above a ground level to give depth surfaces.
 Layers sharing a Matern spec share one field kernel, built once per call:
-a circulant embedding for unconditional grids where one meets its error
-contract, otherwise the exact Cholesky factors of the grid's four
-reflection-folded blocks.
+on a regular grid a circulant embedding where one meets its error contract,
+with appended boreholes drawn from their neighbourhoods on the torus within
+the same contract in a conditional call, otherwise the exact Cholesky
+factors of the grid's (or transect's) four reflection-folded blocks.
 Conditional simulation honors every borehole thickness, including the zeros,
-by kriging an unconditional draw to back-transformed values and truncated
-draws at zero-thickness sites.
+by kriging an unconditional draw of either kind to back-transformed values
+and truncated draws at zero-thickness sites, one kriging step per spec.
 """
 
 from __future__ import annotations
@@ -221,6 +222,22 @@ def _match_boreholes(grid: SimGrid, locations) -> tuple[np.ndarray, np.ndarray]:
     return pts, idx
 
 
+def _conditional_kernel(grid: SimGrid, pts: np.ndarray, spec):
+    """The kernel of a conditional call's unconditional draws over ``pts``,
+    the grid's nodes then the appended boreholes.
+
+    On a regular grid, the lattice's torus with the appended boreholes drawn
+    within the contract (``gaussnum.conditional_lattice_kernel``) where it
+    exists; otherwise, and on transects, the folded ``gaussnum.field_kernel``.
+    """
+    lattice = (grid.nx, grid.ny, grid.spacing)
+    if grid.kind == "grid":
+        kernel = gaussnum.conditional_lattice_kernel(pts, spec, lattice)
+        if kernel is not None:
+            return kernel
+    return gaussnum.field_kernel(pts, spec, lattice=lattice)
+
+
 def simulate_conditional(
     grid: SimGrid,
     params_by_layer,
@@ -232,13 +249,18 @@ def simulate_conditional(
     """Conditional simulation honoring every borehole thickness exactly.
 
     Per layer: back-transform positive thicknesses to latent values, draw
-    the zero-site latents from their truncated conditional law, then simulate
-    the field conditionally and transform back.  The field kernel conditions
-    on the rows ``_match_boreholes`` chose, so the field copies the borehole
-    latents exactly, but the round trip from thickness to latent and back is
-    not exact in floating point, so borehole nodes are finally overwritten
-    with the conditioning thicknesses.  The kernel's borehole covariance also
-    serves the zero-site draws.
+    the zero-site latents from their truncated conditional law, then draw
+    an unconditional field from the spec's kernel (``_conditional_kernel``)
+    and condition it by kriging on the rows ``_match_boreholes`` chose
+    (``gaussnum.Kriging``), and transform back.  The kriging step copies the
+    borehole latents exactly, but the round trip from thickness to latent
+    and back is not exact in floating point, so borehole nodes are finally
+    overwritten with the conditioning thicknesses.  The kriging step's
+    borehole covariance also serves the zero-site draws.
+
+    Each layer's stream is read in this order: the truncated draw's
+    uniforms, then the kernel's normals (on the lattice, the torus's and
+    then one per appended borehole).
     """
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
@@ -249,7 +271,8 @@ def simulate_conditional(
 
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = gaussnum.field_kernel(pts, spec, bh_idx, (grid.nx, grid.ny, grid.spacing))
+        kernel = _conditional_kernel(grid, pts, spec)
+        krig = gaussnum.kriging(pts, spec, bh_idx)
         for j in layers:
             prm = params[j]
             rng = _layer_rng(seed, j)
@@ -259,13 +282,13 @@ def simulate_conditional(
             w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
             if np.any(~pos):
                 m, v = gaussnum.condition(
-                    kernel.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+                    krig.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
                 )
                 w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
-            w = gaussnum.draw_field(kernel, rng, w_known)
+            w = krig.apply(gaussnum.draw_field(kernel, rng), w_known)
             thickness[j] = likelihood.thickness_from_latent(w, prm)
             thickness[j, bh_idx] = z_j
-        del kernel  # free this factor before the next spec's is built
+        del kernel, krig  # free this spec's kernel before the next is built
     return LayerStack(grid, parent, pts, thickness)
 
 

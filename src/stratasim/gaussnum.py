@@ -6,13 +6,15 @@ likelihood's kernel, which ``condition`` and ``mvn_logpdf`` also use),
 orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
 normal sampling, and random field simulation: exact Cholesky factors for any
 point set (four reflection-folded quarter blocks over a lattice, one dense
-factor elsewhere) and FFT circulant embedding for regular grids.
+factor elsewhere) and FFT circulant embedding for regular grids, with points
+appended to a grid drawn from their neighbourhoods; either draw is
+conditioned on borehole values by one kriging step.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -511,14 +513,21 @@ def _fold_blocks(nx: int, ny: int, spacing: float, spec: MaternSpec):
             yield x_rows, y_rows, block
 
 
+def _folded_sizes(nx: int, ny: int) -> list[int]:
+    """The sizes of the four folded blocks of an nx x ny lattice (some may
+    be 0), in ``_fold_blocks`` order."""
+    return [cx.size * cy.size for *_, cx in _fold_parts(nx) for *_, cy in _fold_parts(ny)]
+
+
 @dataclass(frozen=True)
 class FieldKernel:
-    """What a Gaussian field draw needs from the points and the Matern spec.
+    """What an unconditional Gaussian field draw needs from the points and
+    the Matern spec, as exact Cholesky factors.
 
     Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
     The points are the nodes of an nx x ny lattice, raveled x major, then
-    the rest; over scattered points there are no nodes.  An unconditional
-    draw Y takes one standard normal per point, z = (z_g, z_r):
+    the rest; over scattered points there are no nodes.  A draw Y takes one
+    standard normal per point, z = (z_g, z_r):
 
     - the nodes are Q' blockdiag(L_i) z_g, where Q = kron(``axes``), the
       nx x nx and ny x ny mirror bases (``_fold_basis``); each of
@@ -530,11 +539,8 @@ class FieldKernel:
       ``cross``.  Over scattered points that is ``chol`` z, one dense factor
       of the whole covariance.
 
-    ``cond`` lists the rows that take the conditioning values w, in order;
-    ``bh_cov`` is their covariance C_cc and ``krig_weights`` = C_.c C_cc^-1,
-    so the draw is Y + ``krig_weights`` (w - Y_c), with the ``cond``
-    rows then set to w exactly (conditioning by kriging).  Factors are
-    Fortran-ordered, each built in its block's own buffer.
+    Factors are Fortran-ordered, each built in its block's own buffer.
+    Conditioning values enter afterwards, through a ``Kriging`` step.
     """
 
     n_points: int
@@ -542,30 +548,23 @@ class FieldKernel:
     blocks: tuple[tuple[slice, slice, np.ndarray], ...]
     cross: np.ndarray
     chol: np.ndarray
-    cond: np.ndarray
-    bh_cov: np.ndarray
-    krig_weights: np.ndarray
 
 
-def field_kernel(points, spec: MaternSpec, cond=None, lattice=None) -> FieldKernel:
+def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
     """The factors of field draws over ``points``.
 
     ``lattice`` is (nx, ny, spacing) of the regular lattice that the leading
     nx * ny rows of ``points`` form, x index major, as ``SimGrid.points``
-    orders them; None means scattered points.  ``cond`` lists the rows that
-    carry a conditioning value, in the order ``draw_field`` is given the
-    values; None or empty means an unconditional field.  Raises
-    ``CapacityError``, before any covariance is built, when the factors'
-    squared sizes sum to more than ``CHOLESKY_BUDGET``^2.
+    orders them; None means scattered points.  Raises ``CapacityError``,
+    before any covariance is built, when the factors' squared sizes sum to
+    more than ``CHOLESKY_BUDGET``^2.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     nx, ny, spacing = (0, 0, 0.0) if lattice is None else lattice
     n_grid = nx * ny
-    cond = np.asarray(() if cond is None else cond, dtype=int)
-    # the factors: the lattice's folded blocks, the rest and the cond rows
-    sizes = [cx.size * cy.size for *_, cx in _fold_parts(nx) for *_, cy in _fold_parts(ny)]
-    entries = sum(b * b for b in sizes + [n - n_grid, cond.size])
+    # the factors: the lattice's folded blocks and the rest
+    entries = sum(b * b for b in _folded_sizes(nx, ny) + [n - n_grid])
     if entries > CHOLESKY_BUDGET ** 2:
         raise CapacityError(
             f"{n} simulation points need Cholesky factors of {entries} entries, "
@@ -594,29 +593,79 @@ def field_kernel(points, spec: MaternSpec, cond=None, lattice=None) -> FieldKern
         if n_grid:
             cov -= cross.T @ cross
         chol = _chol_in_place(cov)
-    bh_cov = np.empty((0, 0))
-    krig_weights = np.empty((n, 0))
-    if cond.size:
-        bh_cov = cov_matrix(pts[cond], spec)
-        krig_weights = cho_solve((chol_psd(bh_cov), True), _cross_cov(pts[cond], pts, spec)).T
-    return FieldKernel(n, axes, blocks, cross, chol, cond, bh_cov, krig_weights)
+    return FieldKernel(n, axes, blocks, cross, chol)
+
+
+@dataclass(frozen=True)
+class Kriging:
+    """Conditioning by kriging (Chiles & Delfiner, *Geostatistics*, 7.3):
+    an unconditional draw Y over the points becomes a draw given the values
+    w at the ``cond`` rows as X = Y + ``weights`` (w - Y_cond), with the
+    ``cond`` rows then set to w exactly.
+
+    Built by ``kriging``.  ``bh_cov`` is the covariance C_cc of the ``cond``
+    rows and ``weights`` = C_.c C_cc^-1 over every point, so X has the
+    conditional law whatever kernel drew Y, to within Y's own error.
+    """
+
+    cond: np.ndarray
+    bh_cov: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, field: np.ndarray, values) -> np.ndarray:
+        """X from the unconditional ``field`` Y and the values w, in place."""
+        w = np.asarray(values, dtype=float)
+        field += self.weights @ (w - field[self.cond])
+        field[self.cond] = w
+        return field
+
+
+def kriging(points, spec: MaternSpec, cond) -> Kriging:
+    """The ``Kriging`` step of ``points`` given values at the rows ``cond``,
+    in the order the values will come."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    cond = np.asarray(cond, dtype=int)
+    bh_cov = cov_matrix(pts[cond], spec)
+    weights = cho_solve((chol_psd(bh_cov), True), _cross_cov(pts[cond], pts, spec)).T
+    return Kriging(cond, bh_cov, weights)
+
+
+@dataclass(frozen=True)
+class LocalDraw:
+    """Appended points drawn together from the lattice nodes around them.
+
+    ``rows`` are the points' offsets past the nodes, ``nodes`` the union U of
+    their neighbourhoods (flat node indices, x major), ``weights`` the
+    simple-kriging weights C_UU^-1 C_U,rows and ``chol`` the factor of the
+    kriging error covariance C_rows - weights' C_U,rows: the points are
+    weights' Y_U + chol z (Vecchia 1988, *JRSS-B* 50:297).
+    """
+
+    rows: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    chol: np.ndarray
 
 
 @dataclass(frozen=True)
 class LatticeKernel:
-    """Circulant embedding of a Matern field on an ``nx`` x ``ny`` lattice.
+    """Circulant embedding of a Matern field on an ``nx`` x ``ny`` lattice,
+    and optionally points appended to it.
 
     Built by ``lattice_kernel``.  ``shape`` is the (mx, my) torus the lattice
     is embedded in: even on every axis of more than one node, 1 on an axis
     of one node.  ``sqrt_eig`` holds the square roots of the clipped
     eigenvalues of its covariance, as the ``rfft2`` half-spectrum, shape
-    (mx, my // 2 + 1), that ``draw_field`` filters by.
+    (mx, my // 2 + 1), that ``draw_field`` filters by.  ``local`` draws the
+    points after the nodes from their neighbourhoods (``local_draws``); a
+    kernel from ``lattice_kernel`` has none.
     """
 
     nx: int
     ny: int
     shape: tuple[int, int]
     sqrt_eig: np.ndarray
+    local: tuple[LocalDraw, ...] = ()
 
 
 def _even_fast_len(m: int) -> int:
@@ -678,7 +727,9 @@ def _tori_between(start, low: int, high: int) -> list[tuple[int, int]]:
 def lattice_kernel(nx: int, ny: int, spacing: float, spec: MaternSpec):
     """Circulant embedding of the field over a regular ``nx`` x ``ny`` grid
     on the smallest torus found that meets the error contract, or None when
-    no torus within the size rule meets it.
+    no torus within the size rule meets it.  The kernel draws the grid's
+    nodes; ``local_draws`` extends it to points appended to the grid, and a
+    ``Kriging`` step conditions its draws, as it does the folded kernel's.
 
     The contract: a torus of M = mx*my points is accepted iff its clipped
     negative eigenvalues, summed over the full spectrum and divided by M,
@@ -729,26 +780,232 @@ def lattice_kernel(nx: int, ny: int, spacing: float, spec: MaternSpec):
                          np.concatenate([root, root[shape[0] // 2 - 1 : 0 : -1]]))
 
 
-def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np.ndarray:
-    """One standardized field from a ``field_kernel`` or ``lattice_kernel``.
+# Appended points on a lattice (``local_draws``): a point's neighbourhood is
+# the k x k torus nodes nearest it, k from _LOCAL_K_START in steps of
+# _LOCAL_K_STEP; past _LOCAL_K_CAP the spec takes the folded kernel instead.
+_LOCAL_K_START = 16
+_LOCAL_K_STEP = 8
+_LOCAL_K_CAP = 32
+
+
+def _fft_flops(shape) -> float:
+    """Flops of one real FFT correlation over an (mx, my) torus, a forward
+    and an inverse transform: 5 M log2 M for M points."""
+    m = shape[0] * shape[1]
+    return 5.0 * m * np.log2(max(m, 2))
+
+
+def _window(kernel: LatticeKernel):
+    """(low, size) per axis of the torus window around the lattice: the
+    mx/2 + 1 by my/2 + 1 torus nodes whose lags from each other are at most
+    half the torus, so that their covariance is the Matern one up to the
+    torus's error.  The lattice sits in its middle; ``low`` is the window's
+    first node in lattice coordinates (0 or below)."""
+    size = np.array([m // 2 + 1 for m in kernel.shape])
+    return -((size - (kernel.nx, kernel.ny)) // 2), size
+
+
+def _neighbourhood(cell, k: int, low, size) -> np.ndarray:
+    """Window-flat indices (x major) of the k x k window nodes nearest a
+    point at lattice coordinates ``cell``: along each axis the k
+    consecutive nodes (all of them on a shorter axis) centred on the cell
+    that holds the point, shifted to lie inside the window."""
+    starts = [int(np.clip(np.floor(c) - min(k, n) // 2 + 1, lo, lo + n - min(k, n)))
+              for c, lo, n in zip(cell, low, size)]
+    x, y = (np.arange(st - lo, st - lo + min(k, n)) for st, lo, n in zip(starts, low, size))
+    return (x[:, None] * size[1] + y).ravel()
+
+
+def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec):
+    """``kernel`` extended to the points after its nx * ny nodes, or None
+    where the folded kernel should draw the spec instead.
+
+    ``points`` are the lattice nodes in ``SimGrid.points`` order, then the
+    appended points.  Each appended point is kriged from the k x k torus
+    nodes nearest it (``_neighbourhood``), plus independent noise with the
+    kriging variance; points whose errors interact are drawn together, from
+    the union U of their neighbourhoods, with the joint kriging error
+    covariance (``LocalDraw``).  The nodes come from the window of the torus
+    around the lattice where the torus covariance is the Matern one
+    (``_window``), so a point just outside the lattice is surrounded by its
+    neighbourhood too.
+
+    The contract: every covariance of the draws is within ``_JITTER_MAX`` of
+    the Matern covariance, between each appended point and every lattice
+    node and between appended points, variances included.  It is measured
+    on the draws' actual covariance: the nodes' is the torus lag table
+    irfft2(sqrt_eig^2), so its own error counts, and one FFT correlation of
+    a point's weight stencil with it gives the point's covariance with every
+    node; the noise factor's jitter counts too.  A point (or group) that
+    misses the contract with a node or within its group grows its k by
+    ``_LOCAL_K_STEP``; two groups that miss it between them are merged.
+    Before a group's FFT, the Matern residual C(o, g) - w' C(U, g) is taken
+    at the lattice nodes g that border the neighbourhood: the torus moves
+    the covariance by at most sum |w| times its largest lag error, so a
+    residual beyond the contract by more than that fails the FFT check too,
+    and k grows without it.
+
+    Returns None when a k would pass ``_LOCAL_K_CAP``, or when the local
+    draws would cost more flops than the folded kernel's factors,
+    sum b_i^3 / 3 over its four blocks.  A group of points is charged
+    |U|^3 / 3 for its factor and one FFT correlation (``_fft_flops``) per
+    point, a cost known before each round is built.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    nx, ny, (mx, my) = kernel.nx, kernel.ny, kernel.shape
+    n_grid = nx * ny
+    extra = pts[n_grid:]
+    n = len(extra)
+    if n == 0:
+        return kernel
+    folded = sum(b ** 3 for b in _folded_sizes(nx, ny)) / 3.0
+    fft_cost = _fft_flops(kernel.shape)
+    low, size = _window(kernel)
+    cells = (extra - pts[0]) / spacing
+    table = matern(spacing * np.hypot(*np.ogrid[: size[0], : size[1]]), spec)
+    lattice = ((np.arange(nx) - low[0])[:, None] * size[1] + np.arange(ny) - low[1]).ravel()
+    c_node = _cross_cov(extra, pts[:n_grid], spec)
+    c_pts = _cross_cov(extra, extra, spec)
+    spectrum = kernel.sqrt_eig ** 2
+    # the torus lag table at the window's lags, (0..mx/2, 0..my/2): the
+    # inverse DCT-I of the quarter spectrum (``_quarter_spectrum``)
+    axes = None if min(mx, my) > 1 else [a for a, m in enumerate((mx, my)) if m > 1]
+    slack = float(np.max(np.abs(fft.idctn(spectrum[: size[0]], type=1, axes=axes) - table)))
+    k = np.full(n, _LOCAL_K_START)
+    group = np.arange(n)  # each point's group, labelled by its first member
+    chols = {}
+
+    def factor(ux, uy):
+        """The factor of C_UU, gathered from the Matern lag ``table``; it
+        depends on the nodes' offsets only, so one serves every translate.
+        A rectangle of nodes gathers its lags axis by axis."""
+        key = ((ux - ux.min()).tobytes(), (uy - uy.min()).tobytes())
+        if key not in chols:
+            xs, ys = np.unique(ux), np.unique(uy)
+            if xs.size * ys.size == ux.size:  # x major, as the window indices
+                dx, dy = np.abs(xs[:, None] - xs), np.abs(ys[:, None] - ys)
+                c_uu = table[dx[:, None, :, None], dy[None, :, None, :]].reshape(ux.size, -1)
+            else:
+                c_uu = table[np.abs(ux[:, None] - ux), np.abs(uy[:, None] - uy)]
+            chols[key] = chol_psd(c_uu)
+        return chols[key]
+
+    def build(rows, flat):
+        """The ``LocalDraw`` of ``rows`` from the window nodes ``flat`` and
+        per row its draw's covariance with every window node, or None when
+        the bordering nodes' residual already fails."""
+        ux, uy = np.divmod(flat, size[1]) + low[:, None]
+        c_ur = matern(spacing * np.hypot(ux[:, None] - cells[rows, 0],
+                                         uy[:, None] - cells[rows, 1]), spec)
+        weights = cho_solve((factor(ux, uy), True), c_ur)
+        ring = np.setdiff1d(np.concatenate([_neighbourhood(cells[i], k[i] + 2, low, size)
+                                            for i in rows]), flat)
+        gx, gy = np.divmod(ring, size[1]) + low[:, None]
+        inside = (gx >= 0) & (gx < nx) & (gy >= 0) & (gy < ny)
+        gx, gy = gx[inside], gy[inside]
+        residual = (matern(spacing * np.hypot(gx[:, None] - cells[rows, 0],
+                                              gy[:, None] - cells[rows, 1]), spec)
+                    - table[np.abs(gx[:, None] - ux), np.abs(gy[:, None] - uy)] @ weights)
+        if np.any(np.max(np.abs(residual), axis=0, initial=0.0)
+                  > _JITTER_MAX + slack * np.abs(weights).sum(axis=0)):
+            return None
+        err_cov = c_pts[np.ix_(rows, rows)] - c_ur.T @ weights
+        chol = chol_psd(0.5 * (err_cov + err_cov.T))
+        ux %= mx
+        uy %= my
+        stencil = np.zeros((rows.size, mx, my))
+        stencil[:, ux, uy] = weights.T
+        cov = fft.irfft2(spectrum * fft.rfft2(stencil), s=(mx, my))
+        cov = cov[:, (low[0] + np.arange(size[0])) % mx][:, :, (low[1] + np.arange(size[1])) % my]
+        return LocalDraw(rows, ux * my + uy, weights, chol), cov.reshape(rows.size, -1)
+
+    built = {}
+    while True:
+        if k.max() > _LOCAL_K_CAP:
+            return None
+        members = [np.flatnonzero(group == g) for g in np.unique(group)]
+        unions = [np.unique(np.concatenate([_neighbourhood(cells[i], k[i], low, size)
+                                            for i in rows])) for rows in members]
+        if sum(u.size ** 3 / 3.0 + rows.size * fft_cost
+               for rows, u in zip(members, unions)) > folded:
+            return None
+        draws, cov = [], np.empty((n, size[0] * size[1]))  # Cov(point, window)
+        for rows, flat in zip(members, unions):
+            key = (tuple(rows), tuple(k[rows]))
+            if key not in built:
+                built[key] = build(rows, flat)
+            if built[key] is None:
+                k[rows] += _LOCAL_K_STEP
+            else:
+                draw, cov[rows] = built[key]
+                draws.append((draw, flat))
+        if len(draws) < len(members):
+            continue
+        got = np.empty((n, n))  # the draws' covariance between appended points
+        for draw, flat in draws:
+            got[:, draw.rows] = cov[:, flat] @ draw.weights
+            got[np.ix_(draw.rows, draw.rows)] += draw.chol @ draw.chol.T
+        err = np.abs(got - c_pts)
+        same = group[:, None] == group
+        bad = ((np.max(np.abs(cov[:, lattice] - c_node), axis=1) > _JITTER_MAX)
+               | (np.max(np.where(same, err, 0.0), axis=1) > _JITTER_MAX))
+        if bad.any():
+            k[np.isin(group, group[bad])] += _LOCAL_K_STEP
+            continue
+        pairs = np.argwhere(err > _JITTER_MAX)
+        if not pairs.size:
+            return replace(kernel, local=tuple(draw for draw, _ in draws))
+        for i, j in pairs:
+            low_label, high_label = sorted((group[i], group[j]))
+            group[group == high_label] = low_label
+
+
+def conditional_lattice_kernel(points, spec: MaternSpec, lattice):
+    """The lattice kernel of a grid with appended points: ``lattice_kernel``
+    extended by ``local_draws``, or None where the folded kernel should draw
+    the spec instead.
+
+    ``points`` and ``lattice`` = (nx, ny, spacing) are as ``field_kernel``
+    takes them.  When the appended points' first neighbourhood factors alone
+    (at least min(k, nx) min(k, ny) nodes each at ``_LOCAL_K_START``) cost
+    more flops than the folded factors, ``local_draws`` would fall back, so
+    no torus is built.
+    """
+    nx, ny, spacing = lattice
+    n = len(points) - nx * ny
+    first = (min(_LOCAL_K_START, nx) * min(_LOCAL_K_START, ny)) ** 3 / 3.0
+    if n * first > sum(b ** 3 for b in _folded_sizes(nx, ny)) / 3.0:
+        return None
+    torus = lattice_kernel(nx, ny, spacing, spec)
+    return None if torus is None else local_draws(torus, points, spacing, spec)
+
+
+def draw_field(kernel: FieldKernel | LatticeKernel, rng) -> np.ndarray:
+    """One unconditional standardized field from a ``field_kernel`` or a
+    ``lattice_kernel`` (extended by ``local_draws`` or not).
 
     Lattice draws filter standard normals on the torus by the square-root
     spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
-    (x index major).  Field kernel draws take ``n_points`` standard normals
-    and apply the kernel's factors (``FieldKernel``), then krige the draw to
-    the ``cond_values`` w and copy w into the ``cond`` rows.  Over scattered
-    points with nothing conditioned that is ``chol @ z``; with every row
-    conditioned it is w in the ``cond`` rows, and nothing is drawn.
+    (x index major); the appended points then take one more standard normal
+    each, in row order, for their ``LocalDraw`` noise.  Field kernel draws
+    take ``n_points`` standard normals and apply the kernel's factors
+    (``FieldKernel``); over scattered points that is ``chol @ z``.
+    Conditioning values enter afterwards, by a ``Kriging`` step.
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
         f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
-        return f[: kernel.nx, : kernel.ny].ravel()
-    out = np.empty(kernel.n_points)
-    if kernel.cond.size == kernel.n_points:
-        out[kernel.cond] = cond_values
+        nodes = f[: kernel.nx, : kernel.ny].ravel()
+        if not kernel.local:
+            return nodes
+        n_grid, torus = nodes.size, f.ravel()
+        z = rng.standard_normal(sum(d.rows.size for d in kernel.local))
+        out = np.concatenate([nodes, np.empty(z.size)])
+        for d in kernel.local:
+            out[n_grid + d.rows] = d.weights.T @ torus[d.nodes] + d.chol @ z[d.rows]
         return out
     z = rng.standard_normal(kernel.n_points)
+    out = np.empty(kernel.n_points)
     n_grid = kernel.cross.shape[0]
     out[n_grid:] = kernel.chol @ z[n_grid:]
     if n_grid:
@@ -761,10 +1018,6 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng, cond_values=None) -> np
             start = stop
         out[:n_grid] = (qx.T @ folded @ qy).ravel()
         out[n_grid:] += kernel.cross.T @ z[:n_grid]
-    if kernel.cond.size:
-        w = np.asarray(cond_values, dtype=float)
-        out += kernel.krig_weights @ (w - out[kernel.cond])
-        out[kernel.cond] = w
     return out
 
 

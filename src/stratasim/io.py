@@ -73,10 +73,12 @@ def load_boreholes(path) -> list[BoreholeObservation]:
 
     Each borehole's rows are contiguous, its record indices run 0, 1, 2, ...
     and every row repeats its coordinates and ground level; numbers must be
-    finite.  ``BoreholeObservation`` then judges each borehole's records.
-    A violation of either raises ``DatasetError`` naming ``path:line``.
+    finite, and no two boreholes share a site (x, y).  ``BoreholeObservation``
+    then judges each borehole's records.  A violation of either raises
+    ``DatasetError`` naming ``path:line``.
     """
     seen: dict[str, dict] = {}
+    sites: dict[tuple[float, float], str] = {}
     prev = None
     with _open(path) as fh:
         reader = csv.DictReader(fh)
@@ -100,6 +102,13 @@ def load_boreholes(path) -> list[BoreholeObservation]:
                 raise DatasetError(
                     f"{path}:{ln}: rows of borehole {bid} are not contiguous"
                 )
+            if bid not in seen:
+                other = sites.setdefault(site[:2], bid)
+                if other != bid:
+                    raise DatasetError(
+                        f"{path}:{ln}: borehole {bid} is at the site of borehole "
+                        f"{other} (line {seen[other]['line']})"
+                    )
             info = seen.setdefault(bid, {"site": site, "line": ln, "records": []})
             if site != info["site"]:
                 raise DatasetError(

@@ -296,14 +296,16 @@ def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None,
 
 
 class _FixedNormals:
-    """Stands in for a generator: ``standard_normal`` returns ``z``."""
+    """Stands in for a generator: ``standard_normal`` returns ``z``, then each
+    of ``more`` in turn."""
 
-    def __init__(self, z):
-        self.z = z
+    def __init__(self, z, *more):
+        self.queue = [z, *more]
 
     def standard_normal(self, size):
-        assert self.z.shape == (size if isinstance(size, tuple) else (size,))
-        return self.z
+        z = self.queue.pop(0)
+        assert z.shape == (size if isinstance(size, tuple) else (size,))
+        return z
 
 
 def torus_negative_mass(shape, spacing, spec) -> float:
@@ -357,6 +359,47 @@ def lattice_draw_covariance(kernel: gaussnum.LatticeKernel) -> np.ndarray:
         cols.append(gaussnum.draw_field(kernel, _FixedNormals(e.reshape(kernel.shape))))
     a = np.column_stack(cols)
     return a @ a.T
+
+
+def lattice_law(kernel: gaussnum.LatticeKernel) -> np.ndarray:
+    """Covariance of ``draw_field(kernel, ...)`` over the lattice nodes and
+    the appended points, exactly, from the arrays the draw is made of.
+
+    The torus draw has the circulant covariance whose eigenvalues are the
+    squared ``sqrt_eig``: its lag table is their inverse FFT (numpy's here),
+    read at torus lags modulo the torus.  An appended group is weights' Y_U
+    + chol z, with z independent of the torus and of the other groups.
+    """
+    mx, my = kernel.shape
+    table = np.fft.irfft2(kernel.sqrt_eig ** 2, s=kernel.shape)
+
+    def lags(a, b):  # table at the torus lags between flat torus indices a and b
+        (ax, ay), (bx, by) = np.divmod(a, my), np.divmod(b, my)
+        return table[(ax[:, None] - bx) % mx, (ay[:, None] - by) % my]
+
+    nodes = (np.arange(kernel.nx)[:, None] * my + np.arange(kernel.ny)).ravel()
+    n_grid = nodes.size
+    n = n_grid + sum(d.rows.size for d in kernel.local)
+    cov = np.empty((n, n))
+    cov[:n_grid, :n_grid] = lags(nodes, nodes)
+    for d in kernel.local:
+        rows = n_grid + d.rows
+        cov[rows, :n_grid] = d.weights.T @ lags(d.nodes, nodes)
+        cov[:n_grid, rows] = cov[rows, :n_grid].T
+        for e in kernel.local:
+            cov[np.ix_(rows, n_grid + e.rows)] = d.weights.T @ lags(d.nodes, e.nodes) @ e.weights
+        cov[np.ix_(rows, rows)] += d.chol @ d.chol.T
+    return cov
+
+
+def lattice_draw(kernel: gaussnum.LatticeKernel, z_torus, z_points) -> np.ndarray:
+    """The draw ``lattice_law`` describes, from the torus normals and one
+    normal per appended point, with numpy's FFT."""
+    f = np.fft.irfft2(kernel.sqrt_eig * np.fft.rfft2(z_torus), s=kernel.shape)
+    out = [f[: kernel.nx, : kernel.ny].ravel(), np.empty(len(z_points))]
+    for d in kernel.local:
+        out[1][d.rows] = d.weights.T @ f.ravel()[d.nodes] + d.chol @ z_points[d.rows]
+    return np.concatenate(out)
 
 
 def simulate_unconditional(grid, params_by_layer, parent, seed):

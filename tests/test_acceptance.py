@@ -17,6 +17,7 @@ from stratasim.core import (
     ParentSequence,
     initial_augmentation,
 )
+from stratasim import gaussnum
 from stratasim.fieldsim import SimGrid, simulate_conditional
 from stratasim.gaussnum import MaternSpec, condition, cov_matrix, mvn_cdf_below
 from stratasim.likelihood import (
@@ -206,6 +207,43 @@ def test_criterion_08_conditional_honoring():
             )))
     ok = worst <= 1e-8
     _report(8, f"conditional simulation honors all boreholes (max dev {worst:.2e})", ok)
+
+
+def test_criterion_08_conditional_honoring_on_the_lattice(monkeypatch):
+    # criterion 08 where the field is a torus draw: a 50 x 50 grid at 2 km,
+    # with a borehole on a node, one that shares its node, one at a cell
+    # centre and one just outside the grid, the last three appended
+    parent = ParentSequence(("Green", "Blue", "Green"))
+    params = {
+        "Green": LayerParams(p=0.8, mu=1.0, beta=1.0, alpha=10.0),
+        "Blue": LayerParams(p=0.3, mu=1.0, beta=1.0, alpha=20.0),
+    }
+    grid = SimGrid.regular((0, 0), 2.0, 50, 50)
+    locs = [[40.0, 40.0], [40.6, 39.7], [21.0, 57.0], [45.3, 99.2]]
+    configs = [
+        AugmentedConfiguration("a", np.array([0.8, 0.0, 1.2])),
+        AugmentedConfiguration("b", np.array([0.0, 0.5, 0.9])),
+        AugmentedConfiguration("c", np.array([1.5, 0.3, 0.0])),
+        AugmentedConfiguration("d", np.array([0.0, 0.0, 0.7])),
+    ]
+    local = []
+    real = gaussnum.local_draws
+
+    def spy(*args):
+        local.append(real(*args))
+        return local[-1]
+
+    monkeypatch.setattr(gaussnum, "local_draws", spy)
+    worst = 0.0
+    for seed in range(20):
+        stack = simulate_conditional(grid, params, parent, configs, locs, seed)
+        assert len(stack.points) == grid.n_nodes + 3
+        # "a" owns node (40, 40), row 20 * 50 + 20; the rest follow the nodes
+        for cfg, row in zip(configs, [20 * 50 + 20, *range(grid.n_nodes, grid.n_nodes + 3)]):
+            worst = max(worst, float(np.max(np.abs(stack.thickness[:, row] - cfg.thicknesses))))
+    ok = worst <= 1e-8 and len(local) == 40 and all(k is not None for k in local)
+    _report(8, f"conditional simulation on the lattice honors all boreholes "
+               f"(max dev {worst:.2e})", ok)
 
 
 def test_criterion_09_synthetic_recovery():

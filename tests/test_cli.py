@@ -1,5 +1,6 @@
 """Run configuration parsing and the command-line workflows end to end."""
 
+import os
 import re
 import subprocess
 import sys
@@ -605,6 +606,31 @@ def test_missing_input_file_exit_2(workspace, tmp_path, capsys, command, missing
     assert main([command, "--config", str(cfg2), *_COMMAND_ARGS[command]]) == 2
     err = capsys.readouterr().err
     assert f"{gone}: cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "fit", "simulate"])
+def test_two_boreholes_at_one_site_exit_2(workspace, tmp_path, command):
+    # a copy of bh1 under a new id with doubled thicknesses: the same site
+    # holding two logs is bad input, reported before any numerics run
+    root, cfg = workspace
+    lines = (root / "synth" / "boreholes.csv").read_text().splitlines()
+    copy = [",".join(["bh1b", *f[1:6], repr(2 * float(f[6]))])
+            for f in (line.split(",") for line in lines) if f[0] == "bh1"]
+    bad = tmp_path / "dup.csv"
+    bad.write_text("\n".join(lines + copy) + "\n")
+    cfg2 = tmp_path / "run.cfg"
+    cfg2.write_text(re.sub(r"^boreholes = .*$", f"boreholes = {bad}", cfg.read_text(),
+                           flags=re.M))
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stratasim.cli", command,
+         "--config", str(cfg2), *_COMMAND_ARGS[command]],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert code.returncode == 2
+    assert f"{bad}:{len(lines) + 1}: borehole bh1b is at the site of borehole bh1 (line 2)" \
+        in code.stderr
+    assert "Traceback" not in code.stderr and "Warning" not in code.stderr
 
 
 @pytest.mark.parametrize("command, undecodable", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from stratasim import fieldsim, gaussnum, likelihood
+from stratasim import fieldsim, gaussnum, likelihood, synthgen
 from stratasim.config import RunConfig
 from stratasim.core import AugmentedConfiguration, ParentSequence
 from stratasim.errors import CapacityError, ParameterError
@@ -138,22 +138,29 @@ class TestUnconditional:
 
 
 def _spy_kernels(monkeypatch):
-    """Record each spec given to ``lattice_kernel`` and ``field_kernel``,
-    with whether the lattice found an embedding; a ``field_kernel`` given a
-    lattice is recorded as "folded"."""
+    """Record each spec given to ``lattice_kernel``, ``local_draws`` and
+    ``field_kernel``: whether the lattice found an embedding, whether the
+    appended points were drawn locally ("local") or not ("fallback"), and a
+    ``field_kernel`` given a lattice as "folded"."""
     calls = []
-    lattice, field = gaussnum.lattice_kernel, gaussnum.field_kernel
+    lattice, local, field = gaussnum.lattice_kernel, gaussnum.local_draws, gaussnum.field_kernel
 
     def lattice_spy(nx, ny, spacing, spec):
         out = lattice(nx, ny, spacing, spec)
         calls.append(("lattice" if out is not None else "no embedding", spec))
         return out
 
-    def field_spy(points, spec, cond=None, lattice=None):
+    def local_spy(kernel, points, spacing, spec):
+        out = local(kernel, points, spacing, spec)
+        calls.append(("local" if out is not None else "fallback", spec))
+        return out
+
+    def field_spy(points, spec, lattice=None):
         calls.append(("folded" if lattice is not None else "scattered", spec))
-        return field(points, spec, cond, lattice)
+        return field(points, spec, lattice)
 
     monkeypatch.setattr(gaussnum, "lattice_kernel", lattice_spy)
+    monkeypatch.setattr(gaussnum, "local_draws", local_spy)
     monkeypatch.setattr(gaussnum, "field_kernel", field_spy)
     return calls
 
@@ -249,7 +256,7 @@ class TestConditional:
     def test_budget_counts_boreholes(self, monkeypatch):
         # the 24-station transect's two folded blocks of 12 fit 17^2 = 289
         # squared entries; its three appended boreholes add 3^2 for their
-        # own factor and 3^2 for the borehole block, and do not fit
+        # own factor, and do not fit
         grid = SimGrid.transect((0, 0), (23, 0), 24)
         monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 17)
         simulate_unconditional(grid, PARAMS, PARENT, seed=0)
@@ -258,13 +265,13 @@ class TestConditional:
             simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
 
     def test_budget_counts_factor_points(self, monkeypatch):
-        # boreholes on nodes add only the borehole block to the factors; an
-        # appended one adds its own row too.  The 3 x 5 grid folds into
-        # blocks of 6, 4, 3 and 2 nodes, 65 squared entries; with the 3^2 of
-        # three boreholes on nodes that fits 9^2 = 81, and with a fourth,
-        # appended, 65 + 1^2 + 4^2 = 82 does not
-        grid = SimGrid.regular((0, 0), 2.0, 3, 5)
-        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 9)
+        # boreholes on nodes add nothing to the field's factors (their own
+        # covariance belongs to the kriging step); an appended one adds its
+        # row.  The 4 x 4 grid folds into four blocks of 4 nodes, 64 squared
+        # entries: three boreholes on nodes fit 8^2 = 64, and with a fourth,
+        # appended, 65 does not
+        grid = SimGrid.regular((0, 0), 2.0, 4, 4)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 8)
         locs, configs = [[2.0, 2.0], [0.0, 6.0], [4.0, 4.0]], _conditioning_setup()[1]
         stack = simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
         assert stack.points.shape[0] == grid.n_nodes
@@ -501,3 +508,215 @@ class TestCrossSection:
         grid = SimGrid.transect((0, 0), (10, 0), 3)
         with pytest.raises(ParameterError):
             LayerStack(grid, PARENT, grid.points(), -np.ones((3, 3)))
+
+
+# The benchmark's 50 x 50 grid at 2 km: nodes at even km from 0 to 98.  Every
+# layout conditions on two boreholes on nodes besides its own.
+GRID50 = SimGrid.regular((0, 0), 2.0, 50, 50)
+ON_NODES = [[10.0, 10.0], [60.0, 30.0]]
+LAYOUTS = {
+    "on nodes": [[20.0, 20.0], [50.0, 70.0], [84.0, 12.0]],
+    "sharing a node": [[40.0, 40.2], [40.6, 39.7]],  # the second is appended
+    "cell centre": [[41.0, 57.0]],
+    "edge": [[0.9, 61.0]],
+    "corner": [[1.0, 1.0]],
+    "outside": [[45.3, 99.2]],
+    "two near each other": [[21.0, 21.0], [20.9, 21.2]],
+}
+# (nu, alpha, layout) whose appended points the lattice cannot draw within
+# the contract below the k cap: the exponential screens slowest
+FALLBACKS = {
+    (0.5, 10.0, "edge"), (0.5, 10.0, "outside"),
+    *((0.5, 20.0, name) for name in LAYOUTS if name != "on nodes"),
+}
+
+
+class _Recorder:
+    """A generator that records the draws asked of it, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, *size):
+        out = self.rng.random(*size)
+        self.calls.append(("uniform", np.shape(out)))
+        return out
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        self.calls.append(("normal", out.shape))
+        return out
+
+
+class TestLatticeConditional:
+    """Conditional grids drawn on the torus, appended boreholes kriged from
+    their neighbourhoods, then conditioned by the kriging step the folded
+    kernel shares."""
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("alpha", [10.0, 20.0])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 2.5])
+    def test_exact_law(self, nu, alpha, layout):
+        # The draws are linear in the normals, so their law is exact: the
+        # unconditional covariance S of the lattice path (``oracles.
+        # lattice_law``) is within the 1e-6 contract of the Matern C at every
+        # node and appended point.  Conditioning by kriging, X = (I - K E) Y
+        # + K w, then has the folded kernel's mean map K w, and its
+        # covariance differs from the folded kernel's C - K C_c. by
+        # D = (I - K E)(S - C)(I - K E)', so |D_ij| <= 1e-6 (1 + |K_i|_1)
+        # (1 + |K_j|_1), the bound checked here.
+        spec = MaternSpec(nu, alpha)
+        pts, bh_idx = fieldsim._match_boreholes(GRID50, ON_NODES + LAYOUTS[layout])
+        n_grid = GRID50.n_nodes
+        assert (len(pts) > n_grid) == (layout != "on nodes")
+        kernel = fieldsim._conditional_kernel(GRID50, pts, spec)
+        if (nu, alpha, layout) in FALLBACKS:
+            assert isinstance(kernel, gaussnum.FieldKernel)
+            return
+        assert isinstance(kernel, gaussnum.LatticeKernel)
+        rng = np.random.default_rng(3)
+        z_torus, z_points = rng.standard_normal(kernel.shape), rng.standard_normal(
+            len(pts) - n_grid)
+        got = gaussnum.draw_field(kernel, oracles._FixedNormals(z_torus, z_points))
+        assert np.max(np.abs(got - oracles.lattice_draw(kernel, z_torus, z_points))) <= 1e-12
+
+        diff = oracles.lattice_law(kernel)
+        diff -= gaussnum.cov_matrix(pts, spec)
+        assert np.max(np.abs(diff)) <= 1e-6  # the contract
+
+        krig = gaussnum.kriging(pts, spec, bh_idx)
+        exact = gaussnum.cov_matrix(pts, spec)
+        k_exact = np.linalg.solve(exact[np.ix_(bh_idx, bh_idx)], exact[bh_idx]).T
+        del exact
+        assert np.max(np.abs(krig.weights - k_exact)) <= 1e-9  # the mean map
+        w = rng.standard_normal(len(bh_idx))
+        zero = oracles._FixedNormals(np.zeros(kernel.shape), np.zeros(len(pts) - n_grid))
+        mean = krig.apply(gaussnum.draw_field(kernel, zero), w)
+        assert np.array_equal(mean[bh_idx], w)
+        assert np.max(np.abs(mean - k_exact @ w)) <= 1e-9
+
+        k = krig.weights
+        k_diff = k @ diff[bh_idx]
+        k_diff_k = k_diff[:, bh_idx] @ k.T
+        diff -= k_diff
+        diff -= k_diff.T
+        diff += k_diff_k
+        del k_diff, k_diff_k
+        scale = 1.0 + np.abs(k).sum(axis=1)
+        diff /= scale[:, None]
+        diff /= scale[None, :]
+        assert np.max(np.abs(diff)) <= 1e-6
+
+    def test_contract_is_measured_on_the_torus(self):
+        # a torus whose covariance is the Matern one plus 2e-6 at every lag
+        # (its zero-frequency eigenvalue raised by 2e-6 M): kriging weights
+        # that sum to about 1 carry that error to the appended point, so no
+        # k meets the contract measured on the torus the draws come from
+        spec = MaternSpec(1.5, 10.0)
+        kernel = gaussnum.lattice_kernel(50, 50, 2.0, spec)
+        sqrt_eig = kernel.sqrt_eig.copy()
+        sqrt_eig[0, 0] = np.sqrt(sqrt_eig[0, 0] ** 2 + 2e-6 * np.prod(kernel.shape))
+        pts, _ = fieldsim._match_boreholes(GRID50, LAYOUTS["cell centre"])
+        assert gaussnum.local_draws(replace(kernel, sqrt_eig=sqrt_eig), pts, 2.0, spec) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_benchmark_grid_takes_the_lattice(self, monkeypatch, seed):
+        # the 50 x 50 grid at 2 km with the synthetic truth's two specs: both
+        # are drawn on the torus, appended boreholes included
+        boreholes, truth, params = synthgen.generate(synthgen.SyntheticScenario(seed=seed))
+        locs = [(b.x, b.y) for b in boreholes]
+        calls = _spy_kernels(monkeypatch)
+        stack = simulate_conditional(GRID50, params, DEFAULT_PARENT, truth, locs, seed)
+        assert stack.points.shape[0] > GRID50.n_nodes
+        specs = sorted({p.matern_spec for p in params.values()}, key=lambda s: s.alpha)
+        assert calls == [(path, spec) for spec in specs for path in ("lattice", "local")]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fit_grids_stay_folded(self, seed):
+        # the fit workload's 16 x 16 grids at 2 km cover 0-30 km of the
+        # 100 km synthetic domain, so most of its 12 boreholes are appended:
+        # for every range a fit can choose that has a torus, the local draws
+        # cost more than the four 64-node folded factors
+        locs = synthgen.SyntheticScenario(seed=seed).locations()
+        grid = SimGrid.regular((0, 0), 2.0, 16, 16)
+        pts, _ = fieldsim._match_boreholes(grid, locs)
+        assert len(pts) - grid.n_nodes >= 9
+        tori = 0
+        for alpha in (0.5, 1.0, 2.0, 3.0, 4.0, 6.5, 10.0):
+            spec = MaternSpec(1.5, alpha)
+            torus = gaussnum.lattice_kernel(16, 16, 2.0, spec)
+            if torus is not None:
+                tori += 1
+                assert gaussnum.local_draws(torus, pts, 2.0, spec) is None
+            assert isinstance(fieldsim._conditional_kernel(grid, pts, spec), gaussnum.FieldKernel)
+        assert tori >= 4
+
+    def test_transect_stays_folded(self, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        locs, configs = _conditioning_setup()
+        simulate_conditional(SimGrid.transect((0, 0), (16, 12), 25), PARAMS, PARENT,
+                             configs, locs, 0)
+        assert calls == [("folded", PARAMS["Green"].matern_spec)]
+
+    def test_fallback_past_the_k_cap(self, monkeypatch):
+        # the exponential's cell centre needs k = 24 at alpha 10 (see
+        # test_exact_law); with the cap at 16 it falls back
+        spec = MaternSpec(0.5, 10.0)
+        pts, _ = fieldsim._match_boreholes(GRID50, LAYOUTS["cell centre"])
+        kernel = fieldsim._conditional_kernel(GRID50, pts, spec)
+        assert isinstance(kernel, gaussnum.LatticeKernel)
+        assert [d.nodes.size for d in kernel.local] == [24 * 24]
+        monkeypatch.setattr(gaussnum, "_LOCAL_K_CAP", 16)
+        assert gaussnum.local_draws(gaussnum.lattice_kernel(50, 50, 2.0, spec), pts, 2.0,
+                                    spec) is None
+        assert isinstance(fieldsim._conditional_kernel(GRID50, pts, spec), gaussnum.FieldKernel)
+
+    def test_fallback_past_the_flop_rule(self, monkeypatch):
+        # on a 30 x 30 grid the folded factors cost 4 x 225^3 / 3 = 7.6e6
+        # flops; one appended point costs 256^3 / 3 = 5.6e6 for its k = 16
+        # neighbourhood and 5 M log2 M = 2e5 for its FFT check on the 60^2
+        # torus, three cost three times that: those fall back before any
+        # neighbourhood is built
+        grid = SimGrid.regular((0, 0), 2.0, 30, 30)
+        spec = MaternSpec(1.5, 2.0)
+        pts, _ = fieldsim._match_boreholes(grid, [[5.0, 5.0], [15.0, 21.0], [25.0, 9.0]])
+        torus = gaussnum.lattice_kernel(30, 30, 2.0, spec)
+        assert torus is not None and torus.shape == (60, 60)
+        assert len(pts) == grid.n_nodes + 3
+
+        def unbuilt(*args):
+            raise AssertionError("a neighbourhood was built")
+
+        monkeypatch.setattr(gaussnum, "cho_solve", unbuilt)
+        assert gaussnum.local_draws(torus, pts, 2.0, spec) is None
+        with pytest.raises(AssertionError, match="a neighbourhood was built"):
+            gaussnum.local_draws(torus, pts[:-2], 2.0, spec)  # one point passes the rule
+
+    def test_stream_order(self, monkeypatch):
+        # each layer's stream gives the truncated draw's uniforms, then the
+        # torus normals, then one normal per appended borehole; the same seed
+        # gives the same bits
+        recorders = {}
+
+        def recording(seed, j):
+            recorders[j] = _Recorder(np.random.default_rng(np.random.SeedSequence((seed, j))))
+            return recorders[j]
+
+        locs = ON_NODES + LAYOUTS["sharing a node"] + LAYOUTS["corner"]
+        z = np.array([[0.8, 0.0, 1.2], [0.0, 0.5, 0.9], [1.5, 0.3, 0.0],
+                      [0.4, 0.0, 0.0], [0.6, 0.7, 0.2]])
+        configs = [AugmentedConfiguration(f"b{i}", row) for i, row in enumerate(z)]
+        monkeypatch.setattr(fieldsim, "_layer_rng", recording)
+        got = simulate_conditional(GRID50, PARAMS, PARENT, configs, locs, 5)
+        n_app = len(got.points) - GRID50.n_nodes
+        assert n_app == 2
+        shape = gaussnum.lattice_kernel(50, 50, 2.0, PARAMS["Green"].matern_spec).shape
+        for j in range(len(PARENT)):
+            zeros = int(np.sum(z[:, j] == 0))
+            uniforms = [("uniform", () if zeros == 1 else (70, zeros))] if zeros else []
+            assert recorders[j].calls == uniforms + [("normal", shape), ("normal", (n_app,))]
+        monkeypatch.undo()
+        again = simulate_conditional(GRID50, PARAMS, PARENT, configs, locs, 5)
+        assert np.array_equal(got.thickness, again.thickness)
+        other = simulate_conditional(GRID50, PARAMS, PARENT, configs, locs, 6)
+        assert not np.array_equal(got.thickness, other.thickness)

@@ -131,6 +131,17 @@ class TestBoreholeFile:
         rows = ["a,1.0,2.0,0.5,0,Green,1.0", "a,1.5,2.0,0.5,1,Blue,1.0"]
         self._rejected_at(tmp_path, rows, 3)
 
+    def test_two_boreholes_at_one_site_rejected(self, tmp_path):
+        # the later borehole's first row is named, with the earlier borehole
+        # and its line; a different ground level does not make a new site
+        rows = ["a,1.0,2.0,0.5,0,Green,1.0", "a,1.0,2.0,0.5,1,Blue,1.0",
+                "b,3.0,2.0,0.5,0,Green,1.0", "c,1.0,2.0,0.7,0,Green,2.0"]
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError,
+                           match="bh.csv:5: borehole c is at the site of borehole a \\(line 2\\)"):
+            io.load_boreholes(path)
+
     @pytest.mark.parametrize("z", ["0.0", "-0.5", "1e-12", "4.6e-10"])
     def test_non_positive_thickness_reports_line(self, tmp_path, z):
         rows = ["a,1.0,2.0,0.5,0,Green,1.0", f"a,1.0,2.0,0.5,1,Blue,{z}"]
