@@ -222,22 +222,6 @@ def _match_boreholes(grid: SimGrid, locations) -> tuple[np.ndarray, np.ndarray]:
     return pts, idx
 
 
-def _conditional_kernel(grid: SimGrid, pts: np.ndarray, spec):
-    """The kernel of a conditional call's unconditional draws over ``pts``,
-    the grid's nodes then the appended boreholes.
-
-    On a regular grid, the lattice's torus with the appended boreholes drawn
-    within the contract (``gaussnum.conditional_lattice_kernel``) where it
-    exists; otherwise, and on transects, the folded ``gaussnum.field_kernel``.
-    """
-    lattice = (grid.nx, grid.ny, grid.spacing)
-    if grid.kind == "grid":
-        kernel = gaussnum.conditional_lattice_kernel(pts, spec, lattice)
-        if kernel is not None:
-            return kernel
-    return gaussnum.field_kernel(pts, spec, lattice=lattice)
-
-
 def simulate_conditional(
     grid: SimGrid,
     params_by_layer,
@@ -250,17 +234,22 @@ def simulate_conditional(
 
     Per layer: back-transform positive thicknesses to latent values, draw
     the zero-site latents from their truncated conditional law, then draw
-    an unconditional field from the spec's kernel (``_conditional_kernel``)
-    and condition it by kriging on the rows ``_match_boreholes`` chose
-    (``gaussnum.Kriging``), and transform back.  The kriging step copies the
-    borehole latents exactly, but the round trip from thickness to latent
-    and back is not exact in floating point, so borehole nodes are finally
-    overwritten with the conditioning thicknesses.  The kriging step's
-    borehole covariance also serves the zero-site draws.
+    an unconditional field from the spec's kernel and condition it by
+    kriging on the rows ``_match_boreholes`` chose (``gaussnum.Kriging``),
+    and transform back.  On a regular grid the kernel is the torus of
+    ``gaussnum.conditional_lattice_kernel``, with the appended boreholes
+    drawn from their neighbourhoods, where it meets its contract; transects,
+    and grids where it does not, use the folded ``gaussnum.field_kernel``.
+    The kriging step copies the borehole latents exactly, but the round
+    trip from thickness to latent and back is not exact in floating point,
+    so borehole nodes are finally overwritten with the conditioning
+    thicknesses.  The kriging step's borehole covariance also serves the
+    zero-site draws.
 
     Each layer's stream is read in this order: the truncated draw's
     uniforms, then the kernel's normals (on the lattice, the torus's and
-    then one per appended borehole).
+    then one per appended borehole); with every row conditioned nothing is
+    drawn for the field.
     """
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
@@ -269,10 +258,15 @@ def simulate_conditional(
     pts, bh_idx = _match_boreholes(grid, locs)
     z_cond = np.array([cfg.thicknesses for cfg in configs]).T  # (M, n)
 
+    lattice = (grid.nx, grid.ny, grid.spacing)
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = _conditional_kernel(grid, pts, spec)
-        krig = gaussnum.kriging(pts, spec, bh_idx)
+        kernel = None
+        if grid.kind == "grid":
+            kernel = gaussnum.conditional_lattice_kernel(pts, spec, lattice)
+        if kernel is None:
+            kernel = gaussnum.field_kernel(pts, spec, lattice=lattice)
+        krig = gaussnum.kriging(pts, spec, bh_idx, kernel)
         for j in layers:
             prm = params[j]
             rng = _layer_rng(seed, j)
@@ -285,7 +279,7 @@ def simulate_conditional(
                     krig.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
                 )
                 w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
-            w = krig.apply(gaussnum.draw_field(kernel, rng), w_known)
+            w = krig.draw(rng, w_known)
             thickness[j] = likelihood.thickness_from_latent(w, prm)
             thickness[j, bh_idx] = z_j
         del kernel, krig  # free this spec's kernel before the next is built

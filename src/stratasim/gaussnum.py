@@ -35,7 +35,8 @@ _JITTER_MAX = 1e-6
 
 _PROB_FLOOR = 1e-300
 
-# Bound on a field kernel's Cholesky factors: their sizes b_i must satisfy
+# Bound on the Cholesky factors a draw holds at once, a field kernel's and
+# its kriging step's borehole block: their sizes b_i must satisfy
 # sum b_i^2 <= CHOLESKY_BUDGET^2, so the factors hold at most 8 budget^2
 # bytes, 3.2 GB.  Each factor is built in its own buffer, which is its peak.
 # A lattice's four folded blocks take about a quarter of one dense factor:
@@ -519,6 +520,17 @@ def _folded_sizes(nx: int, ny: int) -> list[int]:
     return [cx.size * cy.size for *_, cx in _fold_parts(nx) for *_, cy in _fold_parts(ny)]
 
 
+def _check_budget(n: int, sizes) -> None:
+    """Raise ``CapacityError`` when Cholesky factors of these ``sizes``, for
+    ``n`` simulation points, hold more than ``CHOLESKY_BUDGET``^2 entries."""
+    entries = sum(b * b for b in sizes)
+    if entries > CHOLESKY_BUDGET ** 2:
+        raise CapacityError(
+            f"{n} simulation points need Cholesky factors of {entries} entries, "
+            f"beyond the budget {CHOLESKY_BUDGET}^2; coarsen the grid"
+        )
+
+
 @dataclass(frozen=True)
 class FieldKernel:
     """What an unconditional Gaussian field draw needs from the points and
@@ -557,19 +569,14 @@ def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
     nx * ny rows of ``points`` form, x index major, as ``SimGrid.points``
     orders them; None means scattered points.  Raises ``CapacityError``,
     before any covariance is built, when the factors' squared sizes sum to
-    more than ``CHOLESKY_BUDGET``^2.
+    more than ``CHOLESKY_BUDGET``^2 (``_check_budget``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
     nx, ny, spacing = (0, 0, 0.0) if lattice is None else lattice
     n_grid = nx * ny
     # the factors: the lattice's folded blocks and the rest
-    entries = sum(b * b for b in _folded_sizes(nx, ny) + [n - n_grid])
-    if entries > CHOLESKY_BUDGET ** 2:
-        raise CapacityError(
-            f"{n} simulation points need Cholesky factors of {entries} entries, "
-            f"beyond the budget {CHOLESKY_BUDGET}^2; coarsen the grid"
-        )
+    _check_budget(n, _folded_sizes(nx, ny) + [n - n_grid])
     blocks, axes = (), (np.empty((0, 0)), np.empty((0, 0)))
     if n_grid:
         blocks = tuple((xs, ys, _chol_in_place(block))
@@ -599,35 +606,53 @@ def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
 @dataclass(frozen=True)
 class Kriging:
     """Conditioning by kriging (Chiles & Delfiner, *Geostatistics*, 7.3):
-    an unconditional draw Y over the points becomes a draw given the values
-    w at the ``cond`` rows as X = Y + ``weights`` (w - Y_cond), with the
+    an unconditional draw Y of ``kernel`` becomes a draw given the values w
+    at the ``cond`` rows as X = Y + ``weights`` (w - Y_cond), with the
     ``cond`` rows then set to w exactly.
 
     Built by ``kriging``.  ``bh_cov`` is the covariance C_cc of the ``cond``
     rows and ``weights`` = C_.c C_cc^-1 over every point, so X has the
-    conditional law whatever kernel drew Y, to within Y's own error.
+    conditional law whatever kind of kernel drew Y, to within Y's own error.
     """
 
+    kernel: FieldKernel | LatticeKernel
     cond: np.ndarray
     bh_cov: np.ndarray
     weights: np.ndarray
 
-    def apply(self, field: np.ndarray, values) -> np.ndarray:
-        """X from the unconditional ``field`` Y and the values w, in place."""
+    def draw(self, rng, values) -> np.ndarray:
+        """X given the values w: a ``draw_field`` of the kernel, kriged.
+        With every row conditioned X is w in the ``cond`` rows, and nothing
+        is drawn."""
         w = np.asarray(values, dtype=float)
-        field += self.weights @ (w - field[self.cond])
-        field[self.cond] = w
-        return field
+        if self.cond.size == len(self.weights):
+            out = np.empty(self.cond.size)
+            out[self.cond] = w
+            return out
+        out = draw_field(self.kernel, rng)
+        out += self.weights @ (w - out[self.cond])
+        out[self.cond] = w
+        return out
 
 
-def kriging(points, spec: MaternSpec, cond) -> Kriging:
-    """The ``Kriging`` step of ``points`` given values at the rows ``cond``,
-    in the order the values will come."""
+def kriging(points, spec: MaternSpec, cond, kernel) -> Kriging:
+    """The ``Kriging`` step of ``kernel``'s draws over ``points`` given
+    values at the rows ``cond``, in the order the values will come.
+
+    Raises ``CapacityError``, before the borehole block is built, when it
+    and ``kernel``'s factors square to more than ``CHOLESKY_BUDGET``^2 in
+    all (``_check_budget``).  A lattice kernel's torus has its own bound
+    (``lattice_kernel``), so there the borehole block counts alone.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cond = np.asarray(cond, dtype=int)
+    sizes = [cond.size]
+    if isinstance(kernel, FieldKernel):
+        sizes += [chol.shape[0] for *_, chol in kernel.blocks] + [kernel.chol.shape[0]]
+    _check_budget(len(pts), sizes)
     bh_cov = cov_matrix(pts[cond], spec)
     weights = cho_solve((chol_psd(bh_cov), True), _cross_cov(pts[cond], pts, spec)).T
-    return Kriging(cond, bh_cov, weights)
+    return Kriging(kernel, cond, bh_cov, weights)
 
 
 @dataclass(frozen=True)
@@ -788,6 +813,12 @@ _LOCAL_K_STEP = 8
 _LOCAL_K_CAP = 32
 
 
+def _folded_flops(nx: int, ny: int) -> float:
+    """Flops of the folded kernel's factors of an nx x ny lattice,
+    sum b_i^3 / 3 over its four blocks."""
+    return sum(b ** 3 for b in _folded_sizes(nx, ny)) / 3.0
+
+
 def _fft_flops(shape) -> float:
     """Flops of one real FFT correlation over an (mx, my) torus, a forward
     and an inverse transform: 5 M log2 M for M points."""
@@ -839,15 +870,10 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
     node; the noise factor's jitter counts too.  A point (or group) that
     misses the contract with a node or within its group grows its k by
     ``_LOCAL_K_STEP``; two groups that miss it between them are merged.
-    Before a group's FFT, the Matern residual C(o, g) - w' C(U, g) is taken
-    at the lattice nodes g that border the neighbourhood: the torus moves
-    the covariance by at most sum |w| times its largest lag error, so a
-    residual beyond the contract by more than that fails the FFT check too,
-    and k grows without it.
 
     Returns None when a k would pass ``_LOCAL_K_CAP``, or when the local
-    draws would cost more flops than the folded kernel's factors,
-    sum b_i^3 / 3 over its four blocks.  A group of points is charged
+    draws would cost more flops than the folded kernel's factors
+    (``_folded_flops``).  A group of points is charged
     |U|^3 / 3 for its factor and one FFT correlation (``_fft_flops``) per
     point, a cost known before each round is built.
     """
@@ -858,7 +884,7 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
     n = len(extra)
     if n == 0:
         return kernel
-    folded = sum(b ** 3 for b in _folded_sizes(nx, ny)) / 3.0
+    folded = _folded_flops(nx, ny)
     fft_cost = _fft_flops(kernel.shape)
     low, size = _window(kernel)
     cells = (extra - pts[0]) / spacing
@@ -867,48 +893,25 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
     c_node = _cross_cov(extra, pts[:n_grid], spec)
     c_pts = _cross_cov(extra, extra, spec)
     spectrum = kernel.sqrt_eig ** 2
-    # the torus lag table at the window's lags, (0..mx/2, 0..my/2): the
-    # inverse DCT-I of the quarter spectrum (``_quarter_spectrum``)
-    axes = None if min(mx, my) > 1 else [a for a, m in enumerate((mx, my)) if m > 1]
-    slack = float(np.max(np.abs(fft.idctn(spectrum[: size[0]], type=1, axes=axes) - table)))
     k = np.full(n, _LOCAL_K_START)
     group = np.arange(n)  # each point's group, labelled by its first member
     chols = {}
 
     def factor(ux, uy):
         """The factor of C_UU, gathered from the Matern lag ``table``; it
-        depends on the nodes' offsets only, so one serves every translate.
-        A rectangle of nodes gathers its lags axis by axis."""
+        depends on the nodes' offsets only, so one serves every translate."""
         key = ((ux - ux.min()).tobytes(), (uy - uy.min()).tobytes())
         if key not in chols:
-            xs, ys = np.unique(ux), np.unique(uy)
-            if xs.size * ys.size == ux.size:  # x major, as the window indices
-                dx, dy = np.abs(xs[:, None] - xs), np.abs(ys[:, None] - ys)
-                c_uu = table[dx[:, None, :, None], dy[None, :, None, :]].reshape(ux.size, -1)
-            else:
-                c_uu = table[np.abs(ux[:, None] - ux), np.abs(uy[:, None] - uy)]
-            chols[key] = chol_psd(c_uu)
+            chols[key] = chol_psd(table[np.abs(ux[:, None] - ux), np.abs(uy[:, None] - uy)])
         return chols[key]
 
     def build(rows, flat):
-        """The ``LocalDraw`` of ``rows`` from the window nodes ``flat`` and
-        per row its draw's covariance with every window node, or None when
-        the bordering nodes' residual already fails."""
+        """The ``LocalDraw`` of ``rows`` from the window nodes ``flat``, and
+        per row its draw's covariance with every window node."""
         ux, uy = np.divmod(flat, size[1]) + low[:, None]
         c_ur = matern(spacing * np.hypot(ux[:, None] - cells[rows, 0],
                                          uy[:, None] - cells[rows, 1]), spec)
         weights = cho_solve((factor(ux, uy), True), c_ur)
-        ring = np.setdiff1d(np.concatenate([_neighbourhood(cells[i], k[i] + 2, low, size)
-                                            for i in rows]), flat)
-        gx, gy = np.divmod(ring, size[1]) + low[:, None]
-        inside = (gx >= 0) & (gx < nx) & (gy >= 0) & (gy < ny)
-        gx, gy = gx[inside], gy[inside]
-        residual = (matern(spacing * np.hypot(gx[:, None] - cells[rows, 0],
-                                              gy[:, None] - cells[rows, 1]), spec)
-                    - table[np.abs(gx[:, None] - ux), np.abs(gy[:, None] - uy)] @ weights)
-        if np.any(np.max(np.abs(residual), axis=0, initial=0.0)
-                  > _JITTER_MAX + slack * np.abs(weights).sum(axis=0)):
-            return None
         err_cov = c_pts[np.ix_(rows, rows)] - c_ur.T @ weights
         chol = chol_psd(0.5 * (err_cov + err_cov.T))
         ux %= mx
@@ -934,13 +937,8 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
             key = (tuple(rows), tuple(k[rows]))
             if key not in built:
                 built[key] = build(rows, flat)
-            if built[key] is None:
-                k[rows] += _LOCAL_K_STEP
-            else:
-                draw, cov[rows] = built[key]
-                draws.append((draw, flat))
-        if len(draws) < len(members):
-            continue
+            draw, cov[rows] = built[key]
+            draws.append((draw, flat))
         got = np.empty((n, n))  # the draws' covariance between appended points
         for draw, flat in draws:
             got[:, draw.rows] = cov[:, flat] @ draw.weights
@@ -961,8 +959,9 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
 
 
 def conditional_lattice_kernel(points, spec: MaternSpec, lattice):
-    """The lattice kernel of a grid with appended points: ``lattice_kernel``
-    extended by ``local_draws``, or None where the folded kernel should draw
+    """The kernel of a conditional draw over a regular grid's nodes and the
+    points appended to them: ``lattice_kernel`` extended by
+    ``local_draws``, or None where the folded ``field_kernel`` should draw
     the spec instead.
 
     ``points`` and ``lattice`` = (nx, ny, spacing) are as ``field_kernel``
@@ -974,7 +973,7 @@ def conditional_lattice_kernel(points, spec: MaternSpec, lattice):
     nx, ny, spacing = lattice
     n = len(points) - nx * ny
     first = (min(_LOCAL_K_START, nx) * min(_LOCAL_K_START, ny)) ** 3 / 3.0
-    if n * first > sum(b ** 3 for b in _folded_sizes(nx, ny)) / 3.0:
+    if n * first > _folded_flops(nx, ny):
         return None
     torus = lattice_kernel(nx, ny, spacing, spec)
     return None if torus is None else local_draws(torus, points, spacing, spec)

@@ -256,7 +256,7 @@ class TestConditional:
     def test_budget_counts_boreholes(self, monkeypatch):
         # the 24-station transect's two folded blocks of 12 fit 17^2 = 289
         # squared entries; its three appended boreholes add 3^2 for their
-        # own factor, and do not fit
+        # own factor and 3^2 for the borehole block, and do not fit
         grid = SimGrid.transect((0, 0), (23, 0), 24)
         monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 17)
         simulate_unconditional(grid, PARAMS, PARENT, seed=0)
@@ -265,13 +265,13 @@ class TestConditional:
             simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
 
     def test_budget_counts_factor_points(self, monkeypatch):
-        # boreholes on nodes add nothing to the field's factors (their own
-        # covariance belongs to the kriging step); an appended one adds its
-        # row.  The 4 x 4 grid folds into four blocks of 4 nodes, 64 squared
-        # entries: three boreholes on nodes fit 8^2 = 64, and with a fourth,
-        # appended, 65 does not
-        grid = SimGrid.regular((0, 0), 2.0, 4, 4)
-        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 8)
+        # boreholes on nodes add only the borehole block to the factors; an
+        # appended one adds its own row too.  The 3 x 5 grid folds into
+        # blocks of 6, 4, 3 and 2 nodes, 65 squared entries; with the 3^2 of
+        # three boreholes on nodes that fits 9^2 = 81, and with a fourth,
+        # appended, 65 + 1^2 + 4^2 = 82 does not
+        grid = SimGrid.regular((0, 0), 2.0, 3, 5)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 9)
         locs, configs = [[2.0, 2.0], [0.0, 6.0], [4.0, 4.0]], _conditioning_setup()[1]
         stack = simulate_conditional(grid, PARAMS, PARENT, configs, locs, seed=0)
         assert stack.points.shape[0] == grid.n_nodes
@@ -513,6 +513,7 @@ class TestCrossSection:
 # The benchmark's 50 x 50 grid at 2 km: nodes at even km from 0 to 98.  Every
 # layout conditions on two boreholes on nodes besides its own.
 GRID50 = SimGrid.regular((0, 0), 2.0, 50, 50)
+LATTICE50 = (50, 50, 2.0)
 ON_NODES = [[10.0, 10.0], [60.0, 30.0]]
 LAYOUTS = {
     "on nodes": [[20.0, 20.0], [50.0, 70.0], [84.0, 12.0]],
@@ -569,9 +570,9 @@ class TestLatticeConditional:
         pts, bh_idx = fieldsim._match_boreholes(GRID50, ON_NODES + LAYOUTS[layout])
         n_grid = GRID50.n_nodes
         assert (len(pts) > n_grid) == (layout != "on nodes")
-        kernel = fieldsim._conditional_kernel(GRID50, pts, spec)
+        kernel = gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50)
         if (nu, alpha, layout) in FALLBACKS:
-            assert isinstance(kernel, gaussnum.FieldKernel)
+            assert kernel is None
             return
         assert isinstance(kernel, gaussnum.LatticeKernel)
         rng = np.random.default_rng(3)
@@ -584,14 +585,14 @@ class TestLatticeConditional:
         diff -= gaussnum.cov_matrix(pts, spec)
         assert np.max(np.abs(diff)) <= 1e-6  # the contract
 
-        krig = gaussnum.kriging(pts, spec, bh_idx)
+        krig = gaussnum.kriging(pts, spec, bh_idx, kernel)
         exact = gaussnum.cov_matrix(pts, spec)
         k_exact = np.linalg.solve(exact[np.ix_(bh_idx, bh_idx)], exact[bh_idx]).T
         del exact
         assert np.max(np.abs(krig.weights - k_exact)) <= 1e-9  # the mean map
         w = rng.standard_normal(len(bh_idx))
         zero = oracles._FixedNormals(np.zeros(kernel.shape), np.zeros(len(pts) - n_grid))
-        mean = krig.apply(gaussnum.draw_field(kernel, zero), w)
+        mean = krig.draw(zero, w)
         assert np.array_equal(mean[bh_idx], w)
         assert np.max(np.abs(mean - k_exact @ w)) <= 1e-9
 
@@ -648,7 +649,7 @@ class TestLatticeConditional:
             if torus is not None:
                 tori += 1
                 assert gaussnum.local_draws(torus, pts, 2.0, spec) is None
-            assert isinstance(fieldsim._conditional_kernel(grid, pts, spec), gaussnum.FieldKernel)
+            assert gaussnum.conditional_lattice_kernel(pts, spec, (16, 16, 2.0)) is None
         assert tori >= 4
 
     def test_transect_stays_folded(self, monkeypatch):
@@ -663,13 +664,12 @@ class TestLatticeConditional:
         # test_exact_law); with the cap at 16 it falls back
         spec = MaternSpec(0.5, 10.0)
         pts, _ = fieldsim._match_boreholes(GRID50, LAYOUTS["cell centre"])
-        kernel = fieldsim._conditional_kernel(GRID50, pts, spec)
-        assert isinstance(kernel, gaussnum.LatticeKernel)
+        kernel = gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50)
         assert [d.nodes.size for d in kernel.local] == [24 * 24]
         monkeypatch.setattr(gaussnum, "_LOCAL_K_CAP", 16)
         assert gaussnum.local_draws(gaussnum.lattice_kernel(50, 50, 2.0, spec), pts, 2.0,
                                     spec) is None
-        assert isinstance(fieldsim._conditional_kernel(GRID50, pts, spec), gaussnum.FieldKernel)
+        assert gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50) is None
 
     def test_fallback_past_the_flop_rule(self, monkeypatch):
         # on a 30 x 30 grid the folded factors cost 4 x 225^3 / 3 = 7.6e6

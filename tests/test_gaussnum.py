@@ -385,12 +385,6 @@ class TestSampleTruncatedMvnBits:
             assert _same_bits(x, oracles.sample_truncated_mvn(mean, cov, 0.0, rng_want))
 
 
-def _conditional_draw(kernel, krig, rng, w):
-    """A kernel's unconditional draw conditioned by a ``Kriging`` step, as
-    ``fieldsim.simulate_conditional`` makes it."""
-    return krig.apply(draw_field(kernel, rng), w)
-
-
 def _assert_draw_law(pts, spec, cond, lattice):
     """A field kernel's draw, conditioned by the kriging step, is affine in
     its normals: zero normals give the conditional mean, and the draws from
@@ -403,10 +397,10 @@ def _assert_draw_law(pts, spec, cond, lattice):
     kernel = field_kernel(pts, spec, lattice)
     if nc:
         mean, cov = condition(cov_matrix(pts, spec), cond, free, w)
-        krig = kriging(pts, spec, cond)
+        krig = kriging(pts, spec, cond, kernel)
 
         def draw(z, values):
-            return _conditional_draw(kernel, krig, oracles._FixedNormals(z), values)
+            return krig.draw(oracles._FixedNormals(z), values)
     else:
         mean, cov = np.zeros(n), cov_matrix(pts, spec)
 
@@ -447,10 +441,10 @@ class TestFieldKernel:
         # agree to rounding
         pts, cond = self._points()
         spec = MaternSpec(0.5, 4.0)
-        kernel, krig = field_kernel(pts, spec), kriging(pts, spec, cond)
+        krig = kriging(pts, spec, cond, field_kernel(pts, spec))
         for seed in range(3):
             vals = np.random.default_rng(50 + seed).standard_normal(len(cond))
-            got = _conditional_draw(kernel, krig, np.random.default_rng(seed), vals)
+            got = krig.draw(np.random.default_rng(seed), vals)
             want = oracles.sample_gaussian_field(
                 pts, spec, np.random.default_rng(seed), pts[cond], vals
             )
@@ -464,16 +458,16 @@ class TestFieldKernel:
         _assert_draw_law(pts, MaternSpec(nu, 4.0), cond, None)
 
     def test_every_point_conditioned(self):
-        # the kriging step gives every conditioned row its value, whatever
-        # the draw, so a field conditioned at every point is w
         pts, cond = self._points()
         pts = pts[np.sort(cond)]
         rows = np.array([5, 0, 3, 1, 4, 2])
         spec = MaternSpec(1.5, 2.0)
+        krig = kriging(pts, spec, rows, field_kernel(pts, spec))
         vals = np.arange(len(rows), dtype=float)
-        got = _conditional_draw(field_kernel(pts, spec), kriging(pts, spec, rows),
-                                np.random.default_rng(0), vals)
+        rng = np.random.default_rng(0)
+        got = krig.draw(rng, vals)
         assert np.array_equal(got[rows], vals)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
         want = oracles.sample_gaussian_field(
             pts, spec, np.random.default_rng(0), pts[rows], vals
         )
@@ -486,8 +480,7 @@ class TestFieldKernel:
         cvals = rng.standard_normal(5)
         pts = np.vstack([cpts, cpts + [1e-3, 0.0], rng.uniform(0, 10, (40, 2))])
         spec = MaternSpec(1.5, 2.0)
-        f = _conditional_draw(field_kernel(pts, spec), kriging(pts, spec, np.arange(5)),
-                              rng, cvals)
+        f = kriging(pts, spec, np.arange(5), field_kernel(pts, spec)).draw(rng, cvals)
         assert np.array_equal(f[:5], cvals)
         assert np.max(np.abs(f[5:10] - cvals)) < 1e-2
 
@@ -496,8 +489,7 @@ class TestFieldKernel:
         # in its own buffer: over scattered points the one factor of all
         # points; over a lattice, the appended points' factor, while the
         # nodes' blocks come from the lag table and no covariance over the
-        # nodes is built.  The boreholes' covariance belongs to the kriging
-        # step, not to the kernel.
+        # nodes is built.  The kriging step then builds the borehole block.
         built = []
 
         def spy(points, spec):
@@ -505,36 +497,38 @@ class TestFieldKernel:
             return built[-1]
 
         monkeypatch.setattr(gaussnum, "cov_matrix", spy)
+        spec = MaternSpec(1.5, 2.0)
         pts, cond = self._points()
-        kernel = field_kernel(pts, MaternSpec(1.5, 2.0))
-        assert [len(c) for c in built] == [len(pts)]
+        kernel = kriging(pts, spec, cond, field_kernel(pts, spec)).kernel
+        assert [len(c) for c in built] == [len(pts), len(cond)]
         assert np.shares_memory(kernel.chol, built[0])
         built.clear()
         grid = TestFoldedKernel.lattice_points(6, 5, 1.0)
         pts = np.vstack([grid, [[2.4, 1.3], [7.0, 2.0]]])
-        kernel = field_kernel(pts, MaternSpec(1.5, 2.0), (6, 5, 1.0))
-        assert [len(c) for c in built] == [2]
-        assert np.shares_memory(kernel.chol, built[0])
-        kriging(pts, MaternSpec(1.5, 2.0), [31, 3, 30])
+        kernel = kriging(pts, spec, [31, 3, 30], field_kernel(pts, spec, (6, 5, 1.0))).kernel
         assert [len(c) for c in built] == [2, 3]
+        assert np.shares_memory(kernel.chol, built[0])
 
     def test_peak_memory_is_one_n_by_n_buffer(self):
-        # a 36 x 36 grid and 4 appended points: the kernel peaks at its
-        # factors, each built in its own buffer, which hold about a quarter
-        # of the 8 n^2 bytes of one dense factor
+        # a 36 x 36 grid and 4 appended boreholes, 8 boreholes in all: the
+        # kernel and its kriging step peak at their factors, each built in
+        # its own buffer, which hold about a quarter of the 8 n^2 bytes of
+        # one dense factor
         g = np.linspace(0.0, 20.0, 36)
         grid = np.column_stack([np.repeat(g, 36), np.tile(g, 36)])
         pts = np.vstack([grid, np.random.default_rng(6).uniform(0, 20, (4, 2))])
         n = len(pts)
+        cond = np.array([0, 100, 700, 1295, 1296, 1297, 1298, 1299])
+        spec = MaternSpec(1.5, 5.0)
         tracemalloc.start()
         try:
-            kernel = field_kernel(pts, MaternSpec(1.5, 5.0), (36, 36, g[1]))
+            krig = kriging(pts, spec, cond, field_kernel(pts, spec, (36, 36, g[1])))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        sizes = [chol.shape[0] for _, _, chol in kernel.blocks]
+        sizes = [chol.shape[0] for _, _, chol in krig.kernel.blocks]
         assert sizes == [324] * 4
-        entries = sum(b * b for b in sizes) + 4 ** 2
+        entries = sum(b * b for b in sizes) + 4 ** 2 + len(cond) ** 2
         assert entries < 0.26 * n * n
         assert peak < 1.25 * 8 * entries
 
@@ -594,13 +588,14 @@ class TestFoldedKernel:
 
     def test_budget_counts_squared_factor_sizes(self, monkeypatch):
         # 8 x 8 nodes fold into four blocks of 16 rows, 1 024 entries; two
-        # appended points add 4
+        # appended points and three conditioned rows add 4 and 9
         spec = MaternSpec(1.5, 2.0)
         pts = np.vstack([self.lattice_points(8, 8, 1.0), [[9.5, 0.0], [0.0, 9.5]]])
+        cond = [0, 64, 65]
         monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 33)
-        field_kernel(pts, spec, (8, 8, 1.0))
+        kriging(pts, spec, cond, field_kernel(pts, spec, (8, 8, 1.0)))
         monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 32)
-        field_kernel(pts[:64], spec, lattice=(8, 8, 1.0))
+        kernel = field_kernel(pts[:64], spec, lattice=(8, 8, 1.0))
 
         def unbuilt(*args):
             raise AssertionError("a covariance was built beyond the budget")
@@ -608,6 +603,25 @@ class TestFoldedKernel:
         monkeypatch.setattr(gaussnum, "matern", unbuilt)
         with pytest.raises(CapacityError):
             field_kernel(pts, spec, (8, 8, 1.0))
+        with pytest.raises(CapacityError):  # one borehole row more than 32^2
+            kriging(pts[:64], spec, [0], kernel)
+
+    def test_budget_counts_the_borehole_block_alone_on_the_torus(self, monkeypatch):
+        # the torus's size has its own bound (``lattice_kernel``), so beside
+        # a lattice kernel only the borehole block counts: 2^2 entries fit a
+        # budget of 2, 3^2 do not, and no covariance is built before
+        spec = MaternSpec(1.5, 1.0)
+        pts = self.lattice_points(8, 8, 1.0)
+        torus = lattice_kernel(8, 8, 1.0, spec)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 2)
+        kriging(pts, spec, [0, 9], torus)
+
+        def unbuilt(*args):
+            raise AssertionError("a covariance was built beyond the budget")
+
+        monkeypatch.setattr(gaussnum, "matern", unbuilt)
+        with pytest.raises(CapacityError):
+            kriging(pts, spec, [0, 9, 18], torus)
 
 
 class TestSampleGaussianField:
