@@ -265,6 +265,15 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _int_from(low: int):
+    """The argparse type of a decimal integer >= ``low`` >= 0 (else exit 2)."""
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratasim",
@@ -274,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="run the MCMC and write chain files")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--seed", required=True, type=int)
+    p_fit.add_argument("--seed", required=True, type=_int_from(0))
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="simulate thickness fields")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", required=True, type=int)
+    p_sim.add_argument("--seed", required=True, type=_int_from(0))
     p_sim.add_argument("--mode", choices=("unconditional", "conditional"),
                        default="unconditional")
     p_sim.add_argument("--selector", default="most-likely",
@@ -293,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synth", help="generate the synthetic scenario")
     p_syn.add_argument("--output-dir", default="synth")
-    p_syn.add_argument("--seed", required=True, type=int)
-    p_syn.add_argument("--n-boreholes", type=int, default=12)
+    p_syn.add_argument("--seed", required=True, type=_int_from(0))
+    p_syn.add_argument("--n-boreholes", type=_int_from(1), default=12)
     p_syn.set_defaults(func=cmd_synth)
 
     p_val = sub.add_parser("validate", help="check inputs without iterating")

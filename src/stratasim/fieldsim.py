@@ -2,11 +2,12 @@
 
 Layers are simulated independently (per-layer seeded streams), transformed
 to thicknesses, and stacked above a ground level to give depth surfaces.
+An unconditional simulation is the conditional loop with no borehole.
 Layers sharing a Matern spec share one field kernel, built once per call:
-on a regular grid a circulant embedding where one meets its error contract,
-with appended boreholes drawn from their neighbourhoods on the torus within
-the same contract in a conditional call, otherwise the exact Cholesky
-factors of the grid's (or transect's) four reflection-folded blocks.
+on a regular grid ``gaussnum.grid_kernel`` picks a circulant embedding, with
+appended boreholes drawn from their torus neighbourhoods, where they meet
+its error contract, else the exact factors of four reflection-folded blocks,
+which a transect always takes.
 Conditional simulation honors every borehole thickness, including the zeros,
 by kriging an unconditional draw of either kind to back-transformed values
 and truncated draws at zero-thickness sites, one kriging step per spec.
@@ -167,28 +168,9 @@ def simulate_unconditional(
     parent: ParentSequence,
     seed: int,
 ) -> LayerStack:
-    """Independent latent fields per layer, truncated and transformed.
-
-    On a regular grid a spec's fields come from ``gaussnum.lattice_kernel``
-    when it finds an embedding; transects, and grids where it finds none,
-    use the folded ``gaussnum.field_kernel`` of the grid's lattice.
-    """
-    params = _params_list(params_by_layer, parent)
-    pts = grid.points()
-    thickness = np.empty((len(parent), len(pts)))
-    for spec, layers in _layers_by_spec(params):
-        kernel = None
-        if grid.kind == "grid":
-            kernel = gaussnum.lattice_kernel(grid.nx, grid.ny, grid.spacing, spec)
-        if kernel is None:
-            kernel = gaussnum.field_kernel(
-                pts, spec, lattice=(grid.nx, grid.ny, grid.spacing)
-            )
-        for j in layers:
-            w = gaussnum.draw_field(kernel, _layer_rng(seed, j))
-            thickness[j] = likelihood.thickness_from_latent(w, params[j])
-        del kernel  # free this kernel before the next spec's is built
-    return LayerStack(grid, parent, pts, thickness)
+    """Independent latent fields per layer, truncated and transformed: the
+    loop of ``simulate_conditional`` with no borehole."""
+    return _simulate(grid, params_by_layer, parent, [], [], seed)
 
 
 def _match_boreholes(grid: SimGrid, locations) -> tuple[np.ndarray, np.ndarray]:
@@ -233,53 +215,55 @@ def simulate_conditional(
     """Conditional simulation honoring every borehole thickness exactly.
 
     Per layer: back-transform positive thicknesses to latent values, draw
-    the zero-site latents from their truncated conditional law, then draw
-    an unconditional field from the spec's kernel and condition it by
-    kriging on the rows ``_match_boreholes`` chose (``gaussnum.Kriging``),
-    and transform back.  On a regular grid the kernel is the torus of
-    ``gaussnum.conditional_lattice_kernel``, with the appended boreholes
-    drawn from their neighbourhoods, where it meets its contract; transects,
-    and grids where it does not, use the folded ``gaussnum.field_kernel``.
-    The kriging step copies the borehole latents exactly, but the round
-    trip from thickness to latent and back is not exact in floating point,
-    so borehole nodes are finally overwritten with the conditioning
-    thicknesses.  The kriging step's borehole covariance also serves the
-    zero-site draws.
+    the zero-site latents from their truncated conditional law given the
+    kriging step's borehole covariance, then draw an unconditional field
+    from the spec's kernel, condition it by kriging on the rows
+    ``_match_boreholes`` chose (``gaussnum.Kriging``), and transform back.
+    The kernel is ``gaussnum.grid_kernel``'s on a regular grid and the
+    folded ``gaussnum.field_kernel``'s on a transect.  The round trip from
+    thickness to latent and back is not exact in floating point, so borehole
+    nodes are finally overwritten with the conditioning thicknesses.  With
+    no borehole nothing is kriged: the result is ``simulate_unconditional``'s.
 
     Each layer's stream is read in this order: the truncated draw's
     uniforms, then the kernel's normals (on the lattice, the torus's and
     then one per appended borehole); with every row conditioned nothing is
     drawn for the field.
     """
+    return _simulate(grid, params_by_layer, parent, configs, locations, seed)
+
+
+def _simulate(grid, params_by_layer, parent, configs, locations, seed) -> LayerStack:
+    """The per-spec loop of both simulations (``simulate_conditional``)."""
     params = _params_list(params_by_layer, parent)
     locs = np.asarray(locations, dtype=float).reshape(-1, 2)
     if len(configs) != len(locs):
         raise ParameterError("need one configuration per borehole location")
     pts, bh_idx = _match_boreholes(grid, locs)
-    z_cond = np.array([cfg.thicknesses for cfg in configs]).T  # (M, n)
+    z_cond = np.array([cfg.thicknesses for cfg in configs]).reshape(len(locs), len(parent)).T
 
     lattice = (grid.nx, grid.ny, grid.spacing)
     thickness = np.empty((len(parent), len(pts)))
     for spec, layers in _layers_by_spec(params):
-        kernel = None
-        if grid.kind == "grid":
-            kernel = gaussnum.conditional_lattice_kernel(pts, spec, lattice)
-        if kernel is None:
-            kernel = gaussnum.field_kernel(pts, spec, lattice=lattice)
-        krig = gaussnum.kriging(pts, spec, bh_idx, kernel)
+        kernel = (gaussnum.grid_kernel(pts, spec, lattice) if grid.kind == "grid"
+                  else gaussnum.field_kernel(pts, spec, lattice=lattice))
+        krig = gaussnum.kriging(pts, spec, bh_idx, kernel) if len(locs) else None
         for j in layers:
             prm = params[j]
             rng = _layer_rng(seed, j)
             z_j = z_cond[j]
-            pos = z_j > 0
-            w_known = np.empty(len(locs))
-            w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
-            if np.any(~pos):
-                m, v = gaussnum.condition(
-                    krig.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
-                )
-                w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
-            w = krig.draw(rng, w_known)
+            if krig is None:
+                w = gaussnum.draw_field(kernel, rng)
+            else:
+                pos = z_j > 0
+                w_known = np.empty(len(locs))
+                w_known[pos] = likelihood.latent_from_thickness(z_j[pos], prm)
+                if np.any(~pos):
+                    m, v = gaussnum.condition(
+                        krig.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
+                    )
+                    w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
+                w = krig.draw(rng, w_known)
             thickness[j] = likelihood.thickness_from_latent(w, prm)
             thickness[j, bh_idx] = z_j
         del kernel, krig  # free this spec's kernel before the next is built

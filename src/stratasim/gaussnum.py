@@ -7,8 +7,8 @@ orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
 normal sampling, and random field simulation: exact Cholesky factors for any
 point set (four reflection-folded quarter blocks over a lattice, one dense
 factor elsewhere) and FFT circulant embedding for regular grids, with points
-appended to a grid drawn from their neighbourhoods; either draw is
-conditioned on borehole values by one kriging step.
+appended to a grid drawn from their neighbourhoods; ``grid_kernel`` picks
+one on a grid, and one kriging step conditions either draw on borehole values.
 """
 
 from __future__ import annotations
@@ -485,6 +485,11 @@ def _fold_lags(lags: np.ndarray, sign: float, c: np.ndarray, out: np.ndarray) ->
     return out
 
 
+def _lag_table(nx: int, ny: int, spacing: float, spec: MaternSpec) -> np.ndarray:
+    """T[dx, dy] = matern(spacing hypot(dx, dy)), dx < nx and dy < ny."""
+    return matern(spacing * np.hypot(*np.ogrid[:nx, :ny]), spec)
+
+
 def _fold_blocks(nx: int, ny: int, spacing: float, spec: MaternSpec):
     """The Matern covariance over the ``nx`` x ``ny`` lattice in the mirror
     basis Q = kron(Q_x, Q_y) of ``_fold_basis``, block by block.
@@ -492,14 +497,13 @@ def _fold_blocks(nx: int, ny: int, spacing: float, spec: MaternSpec):
     The covariance does not change when either axis is mirrored, so
     Q C Q' is block diagonal: one block per pair of (x, y) parts, (even,
     even), (even, odd), (odd, even), (odd, odd), each on about a quarter of
-    the nodes.  Each is built from the lag table T[dx, dy] =
-    matern(spacing hypot(dx, dy)), folded along y and then along x into the
-    block's own buffer (``_fold_lags``), so the block is the only large
-    array.  Yields (x rows, y rows, block) for each non-empty block; the
+    the nodes.  Each is built from the lag table (``_lag_table``), folded
+    along y and then along x into the block's own buffer (``_fold_lags``),
+    so the block is the only large array.  Yields (x rows, y rows, block) for each non-empty block; the
     block's rows are the folded coefficients ``x rows`` x ``y rows``, x major.
     Every block is exactly symmetric.
     """
-    table = matern(spacing * np.hypot(*np.ogrid[:nx, :ny]), spec)
+    table = _lag_table(nx, ny, spacing, spec)
     y_folds = []
     for sign, rows, c in _fold_parts(ny):
         folded = np.empty((c.size, nx, c.size, 1))
@@ -783,8 +787,7 @@ def lattice_kernel(nx: int, ny: int, spacing: float, spec: MaternSpec):
         m = shape[0] * shape[1]
         if m * np.log2(m) > float(n) ** 2 or m > CHOLESKY_BUDGET ** 2:
             return None
-        lx, ly = (np.arange(k // 2 + 1) for k in shape)
-        lags = matern(spacing * np.hypot(lx[:, None], ly), spec)
+        lags = _lag_table(shape[0] // 2 + 1, shape[1] // 2 + 1, spacing, spec)
         eig, negative = _quarter_spectrum(lags, shape)
         if negative <= _JITTER_MAX:
             break
@@ -851,11 +854,11 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
     """``kernel`` extended to the points after its nx * ny nodes, or None
     where the folded kernel should draw the spec instead.
 
-    ``points`` are the lattice nodes in ``SimGrid.points`` order, then the
-    appended points.  Each appended point is kriged from the k x k torus
-    nodes nearest it (``_neighbourhood``), plus independent noise with the
-    kriging variance; points whose errors interact are drawn together, from
-    the union U of their neighbourhoods, with the joint kriging error
+    ``points`` are the lattice nodes in ``SimGrid.points`` order, then one
+    or more appended points.  Each appended point is kriged from the k x k
+    torus nodes nearest it (``_neighbourhood``), plus independent noise with
+    the kriging variance; points whose errors interact are drawn together,
+    from the union U of their neighbourhoods, with the joint kriging error
     covariance (``LocalDraw``).  The nodes come from the window of the torus
     around the lattice where the torus covariance is the Matern one
     (``_window``), so a point just outside the lattice is surrounded by its
@@ -882,13 +885,11 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
     n_grid = nx * ny
     extra = pts[n_grid:]
     n = len(extra)
-    if n == 0:
-        return kernel
     folded = _folded_flops(nx, ny)
     fft_cost = _fft_flops(kernel.shape)
     low, size = _window(kernel)
     cells = (extra - pts[0]) / spacing
-    table = matern(spacing * np.hypot(*np.ogrid[: size[0], : size[1]]), spec)
+    table = _lag_table(*size, spacing, spec)
     lattice = ((np.arange(nx) - low[0])[:, None] * size[1] + np.arange(ny) - low[1]).ravel()
     c_node = _cross_cov(extra, pts[:n_grid], spec)
     c_pts = _cross_cov(extra, extra, spec)
@@ -958,25 +959,22 @@ def local_draws(kernel: LatticeKernel, points, spacing: float, spec: MaternSpec)
             group[group == high_label] = low_label
 
 
-def conditional_lattice_kernel(points, spec: MaternSpec, lattice):
-    """The kernel of a conditional draw over a regular grid's nodes and the
-    points appended to them: ``lattice_kernel`` extended by
-    ``local_draws``, or None where the folded ``field_kernel`` should draw
-    the spec instead.
-
-    ``points`` and ``lattice`` = (nx, ny, spacing) are as ``field_kernel``
-    takes them.  When the appended points' first neighbourhood factors alone
-    (at least min(k, nx) min(k, ny) nodes each at ``_LOCAL_K_START``) cost
-    more flops than the folded factors, ``local_draws`` would fall back, so
-    no torus is built.
+def grid_kernel(points, spec: MaternSpec, lattice) -> FieldKernel | LatticeKernel:
+    """The kernel of draws over a regular grid's nodes and the points
+    appended to them (as ``field_kernel`` takes ``points`` and ``lattice``):
+    ``lattice_kernel``'s torus, extended by ``local_draws`` when points are
+    appended, or the folded ``field_kernel`` where either falls back.  When
+    the appended points' first neighbourhood factors alone (min(k, nx)
+    min(k, ny) nodes each at ``_LOCAL_K_START``) cost more flops than the
+    folded factors, no torus is built.
     """
     nx, ny, spacing = lattice
     n = len(points) - nx * ny
     first = (min(_LOCAL_K_START, nx) * min(_LOCAL_K_START, ny)) ** 3 / 3.0
-    if n * first > _folded_flops(nx, ny):
-        return None
-    torus = lattice_kernel(nx, ny, spacing, spec)
-    return None if torus is None else local_draws(torus, points, spacing, spec)
+    kernel = lattice_kernel(nx, ny, spacing, spec) if n * first <= _folded_flops(nx, ny) else None
+    if kernel is not None and n:
+        kernel = local_draws(kernel, points, spacing, spec)  # a torus that falls back is freed
+    return field_kernel(points, spec, lattice=lattice) if kernel is None else kernel
 
 
 def draw_field(kernel: FieldKernel | LatticeKernel, rng) -> np.ndarray:

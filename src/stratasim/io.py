@@ -28,6 +28,9 @@ BOREHOLE_HEADER = [
     "record_index", "facies", "thickness_m",
 ]
 
+# Boreholes closer than this share a site (a near-singular covariance).
+SITE_TOLERANCE_KM = 1e-3
+
 
 def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
@@ -73,12 +76,12 @@ def load_boreholes(path) -> list[BoreholeObservation]:
 
     Each borehole's rows are contiguous, its record indices run 0, 1, 2, ...
     and every row repeats its coordinates and ground level; numbers must be
-    finite, and no two boreholes share a site (x, y).  ``BoreholeObservation``
-    then judges each borehole's records.  A violation of either raises
-    ``DatasetError`` naming ``path:line``.
+    finite, and no two boreholes are closer than ``SITE_TOLERANCE_KM``, one
+    site.  ``BoreholeObservation`` then judges each borehole's records.  A
+    violation of either raises ``DatasetError`` naming ``path:line``.
     """
     seen: dict[str, dict] = {}
-    sites: dict[tuple[float, float], str] = {}
+    sites: dict[tuple[float, float], list[str]] = {}  # boreholes by tolerance cell
     prev = None
     with _open(path) as fh:
         reader = csv.DictReader(fh)
@@ -103,12 +106,17 @@ def load_boreholes(path) -> list[BoreholeObservation]:
                     f"{path}:{ln}: rows of borehole {bid} are not contiguous"
                 )
             if bid not in seen:
-                other = sites.setdefault(site[:2], bid)
-                if other != bid:
-                    raise DatasetError(
-                        f"{path}:{ln}: borehole {bid} is at the site of borehole "
-                        f"{other} (line {seen[other]['line']})"
-                    )
+                cx, cy = (v // SITE_TOLERANCE_KM for v in site[:2])
+                for other in (o for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                              for o in sites.get((cx + dx, cy + dy), ())):
+                    far, line = math.dist(site[:2], seen[other]["site"][:2]), seen[other]["line"]
+                    if far < SITE_TOLERANCE_KM:
+                        raise DatasetError(
+                            f"{path}:{ln}: borehole {bid} is at the site of borehole "
+                            f"{other} (line {line}): {path}:{line} is {far:.3g} km away, "
+                            f"closer than {SITE_TOLERANCE_KM:g} km"
+                        )
+                sites.setdefault((cx, cy), []).append(bid)
             info = seen.setdefault(bid, {"site": site, "line": ln, "records": []})
             if site != info["site"]:
                 raise DatasetError(

@@ -633,6 +633,57 @@ def test_two_boreholes_at_one_site_exit_2(workspace, tmp_path, command):
     assert "Traceback" not in code.stderr and "Warning" not in code.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_boreholes_a_hair_apart_exit_2(workspace, tmp_path, command):
+    # a copy of bh1 moved 1e-9 km: one site in practice, whose covariance
+    # would be near singular, so it is bad input too
+    root, cfg = workspace
+    lines = (root / "synth" / "boreholes.csv").read_text().splitlines()
+    copy = [",".join(["bh1b", repr(float(f[1]) + 1e-9), *f[2:]])
+            for f in (line.split(",") for line in lines) if f[0] == "bh1"]
+    bad = tmp_path / "near.csv"
+    bad.write_text("\n".join(lines + copy) + "\n")
+    cfg2 = tmp_path / "run.cfg"
+    cfg2.write_text(re.sub(r"^boreholes = .*$", f"boreholes = {bad}", cfg.read_text(),
+                           flags=re.M))
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "stratasim.cli", command,
+         "--config", str(cfg2), *_COMMAND_ARGS[command]],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert code.returncode == 2
+    assert (f"{bad}:{len(lines) + 1}: borehole bh1b is at the site of borehole bh1 "
+            f"(line 2): {bad}:2 is ") in code.stderr
+    assert "Traceback" not in code.stderr and "Warning" not in code.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--config", "run.cfg", "--seed", "-1"],
+    ["simulate", "--config", "run.cfg", "--seed", "-3", "--mode", "conditional"],
+    ["simulate", "--config", "run.cfg", "--seed", "-3"],
+    ["synth", "--seed", "-1"],
+    ["synth", "--seed", "0", "--n-boreholes", "-1"],
+    ["synth", "--seed", "0", "--n-boreholes", "0"],
+    ["fit", "--config", "run.cfg", "--seed", "1.5"],
+])
+def test_negative_seed_or_borehole_count_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # a usage error before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "expected an integer >=" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_synthetic_borehole(tmp_path):
+    assert main(["synth", "--output-dir", str(tmp_path), "--seed", "0",
+                 "--n-boreholes", "1"]) == 0
+    assert len(io.load_boreholes(tmp_path / "boreholes.csv")) == 1
+
+
 @pytest.mark.parametrize("command, undecodable", [
     ("validate", "parent"), ("validate", "boreholes"), ("validate", "config"),
     ("fit", "parent"), ("simulate", "boreholes"), ("tcd", "parent"),

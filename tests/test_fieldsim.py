@@ -315,6 +315,17 @@ class TestConditional:
             node = int(np.argmin(np.linalg.norm(pts - np.array(locs[0]), axis=1)))
             assert stack.thickness[1, node] == 0.0
 
+    @pytest.mark.parametrize("grid", [
+        SimGrid.regular((0, 0), 2.0, 50, 50),  # both synthetic specs on the torus
+        SimGrid.regular((0, 0), 2.0, 16, 16),  # both folded
+        SimGrid.transect((0, 0), (100, 100), 201),
+    ], ids=["50x50", "16x16", "transect"])
+    def test_no_borehole_is_unconditional(self, grid):
+        got = simulate_conditional(grid, DEFAULT_TRUE_PARAMS, DEFAULT_PARENT, [], [], 7)
+        want = simulate_unconditional(grid, DEFAULT_TRUE_PARAMS, DEFAULT_PARENT, 7)
+        assert np.array_equal(got.points, want.points)
+        assert got.thickness.tobytes() == want.thickness.tobytes()
+
     def test_wrong_config_count(self):
         grid = SimGrid.regular((0, 0), 2.0, 4, 4)
         locs, configs = _conditioning_setup()
@@ -570,9 +581,9 @@ class TestLatticeConditional:
         pts, bh_idx = fieldsim._match_boreholes(GRID50, ON_NODES + LAYOUTS[layout])
         n_grid = GRID50.n_nodes
         assert (len(pts) > n_grid) == (layout != "on nodes")
-        kernel = gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50)
+        kernel = gaussnum.grid_kernel(pts, spec, LATTICE50)
         if (nu, alpha, layout) in FALLBACKS:
-            assert kernel is None
+            assert isinstance(kernel, gaussnum.FieldKernel)
             return
         assert isinstance(kernel, gaussnum.LatticeKernel)
         rng = np.random.default_rng(3)
@@ -649,7 +660,8 @@ class TestLatticeConditional:
             if torus is not None:
                 tori += 1
                 assert gaussnum.local_draws(torus, pts, 2.0, spec) is None
-            assert gaussnum.conditional_lattice_kernel(pts, spec, (16, 16, 2.0)) is None
+            assert isinstance(gaussnum.grid_kernel(pts, spec, (16, 16, 2.0)),
+                              gaussnum.FieldKernel)
         assert tori >= 4
 
     def test_transect_stays_folded(self, monkeypatch):
@@ -664,12 +676,12 @@ class TestLatticeConditional:
         # test_exact_law); with the cap at 16 it falls back
         spec = MaternSpec(0.5, 10.0)
         pts, _ = fieldsim._match_boreholes(GRID50, LAYOUTS["cell centre"])
-        kernel = gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50)
+        kernel = gaussnum.grid_kernel(pts, spec, LATTICE50)
         assert [d.nodes.size for d in kernel.local] == [24 * 24]
         monkeypatch.setattr(gaussnum, "_LOCAL_K_CAP", 16)
         assert gaussnum.local_draws(gaussnum.lattice_kernel(50, 50, 2.0, spec), pts, 2.0,
                                     spec) is None
-        assert gaussnum.conditional_lattice_kernel(pts, spec, LATTICE50) is None
+        assert isinstance(gaussnum.grid_kernel(pts, spec, LATTICE50), gaussnum.FieldKernel)
 
     def test_fallback_past_the_flop_rule(self, monkeypatch):
         # on a 30 x 30 grid the folded factors cost 4 x 225^3 / 3 = 7.6e6

@@ -142,6 +142,33 @@ class TestBoreholeFile:
                            match="bh.csv:5: borehole c is at the site of borehole a \\(line 2\\)"):
             io.load_boreholes(path)
 
+    @pytest.mark.parametrize("dx, dy", [
+        (0.9e-3, 0.0), (0.0, -0.9e-3), (0.6e-3, 0.6e-3), (-0.6e-3, 0.6e-3), (1e-9, 0.0),
+    ])
+    def test_boreholes_within_the_site_tolerance_rejected(self, tmp_path, dx, dy):
+        # closer than SITE_TOLERANCE_KM in any direction, across tolerance
+        # cells too (b sits just below a cell corner): both lines are named
+        x, y = 5.0 - 1e-7, 2.0 - 1e-7
+        rows = ["a,1.0,1.0,0.5,0,Green,1.0", f"b,{x!r},{y!r},0.5,0,Green,1.0",
+                f"b,{x!r},{y!r},0.5,1,Blue,1.0",
+                f"c,{x + dx!r},{y + dy!r},0.5,0,Green,2.0"]
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"bh.csv:5: borehole c is at the site of borehole b (line 3): {path}:3 is ")):
+            io.load_boreholes(path)
+
+    @pytest.mark.parametrize("dx, dy", [(1.001e-3, 0.0), (0.0, -1.001e-3),
+                                        (0.71e-3, 0.71e-3), (-0.71e-3, -0.71e-3)])
+    def test_boreholes_just_beyond_the_site_tolerance_accepted(self, tmp_path, dx, dy):
+        assert np.hypot(dx, dy) > io.SITE_TOLERANCE_KM
+        x, y = 5.0 - 1e-7, 2.0 - 1e-7
+        path = tmp_path / "bh.csv"
+        path.write_text(",".join(io.BOREHOLE_HEADER) + "\n"
+                        f"b,{x!r},{y!r},0.5,0,Green,1.0\n"
+                        f"c,{x + dx!r},{y + dy!r},0.5,0,Green,2.0\n")
+        assert [b.id for b in io.load_boreholes(path)] == ["b", "c"]
+
     @pytest.mark.parametrize("z", ["0.0", "-0.5", "1e-12", "4.6e-10"])
     def test_non_positive_thickness_reports_line(self, tmp_path, z):
         rows = ["a,1.0,2.0,0.5,0,Green,1.0", f"a,1.0,2.0,0.5,1,Blue,{z}"]
