@@ -226,9 +226,9 @@ def simulate_conditional(
     no borehole nothing is kriged: the result is ``simulate_unconditional``'s.
 
     Each layer's stream is read in this order: the truncated draw's
-    uniforms, then the kernel's normals (on the lattice, the torus's and
-    then one per appended borehole); with every row conditioned nothing is
-    drawn for the field.
+    uniforms, then the kernel's normals: the torus's or one per node, then
+    one per appended borehole; with every row conditioned nothing is drawn
+    for the field.
     """
     return _simulate(grid, params_by_layer, parent, configs, locations, seed)
 

@@ -6,9 +6,9 @@ likelihood's kernel, which ``condition`` and ``mvn_logpdf`` also use),
 orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
 normal sampling, and random field simulation: exact Cholesky factors for any
 point set (four reflection-folded quarter blocks over a lattice, one dense
-factor elsewhere) and FFT circulant embedding for regular grids, with points
-appended to a grid drawn from their neighbourhoods; ``grid_kernel`` picks
-one on a grid, and one kriging step conditions either draw on borehole values.
+factor elsewhere) and FFT circulant embedding for regular grids, both drawing
+the points after the nodes as ``LocalDraw``s; ``grid_kernel`` picks one on a
+grid, and one kriging step conditions either draw on borehole values.
 """
 
 from __future__ import annotations
@@ -536,6 +536,24 @@ def _check_budget(n: int, sizes) -> None:
 
 
 @dataclass(frozen=True)
+class LocalDraw:
+    """Points after the nodes, drawn together from a source vector s.
+
+    ``rows`` are the points' offsets past the nodes, ``nodes`` the entries U
+    of s they are kriged from, ``weights`` = Cov(s_U)^-1 Cov(s_U, rows) and
+    ``chol`` the factor of the kriging error covariance: the points are
+    weights' s_U + chol z (Vecchia 1988, *JRSS-B* 50:297).  s is a
+    ``LatticeKernel``'s torus draw, U the union of the points' neighbourhoods
+    (flat torus indices, x major), or a ``FieldKernel``'s z_g, U every node.
+    """
+
+    rows: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    chol: np.ndarray
+
+
+@dataclass(frozen=True)
 class FieldKernel:
     """What an unconditional Gaussian field draw needs from the points and
     the Matern spec, as exact Cholesky factors.
@@ -543,27 +561,25 @@ class FieldKernel:
     Built by ``field_kernel``; ``draw_field`` turns it into one field per rng.
     The points are the nodes of an nx x ny lattice, raveled x major, then
     the rest; over scattered points there are no nodes.  A draw Y takes one
-    standard normal per point, z = (z_g, z_r):
+    standard normal per point, z_g for the nodes first:
 
     - the nodes are Q' blockdiag(L_i) z_g, where Q = kron(``axes``), the
       nx x nx and ny x ny mirror bases (``_fold_basis``); each of
       ``blocks`` holds the (x rows, y rows) of its folded coefficients and
       the lower Cholesky factor L_i of its block of Q C Q' (``_fold_blocks``);
-    - the rest are ``cross``' z_g + ``chol`` z_r.  ``cross`` = blockdiag(L_i)^-1
-      Q C_gr, so ``cross``' z_g is the kriging estimate of the rest from the
-      nodes, and ``chol`` factors its error covariance C_rr - ``cross``'
-      ``cross``.  Over scattered points that is ``chol`` z, one dense factor
-      of the whole covariance.
+    - the rest are ``local``'s one ``LocalDraw`` from z_g, over every node.
+      Its weights blockdiag(L_i)^-1 Q C_gr give the kriging estimate of the
+      rest from the nodes; its factor is that of C_rr - weights' weights.
+      Over scattered points it has no node and its factor is one dense
+      factor of the whole covariance; with no rest ``local`` is empty.
 
     Factors are Fortran-ordered, each built in its block's own buffer.
     Conditioning values enter afterwards, through a ``Kriging`` step.
     """
 
-    n_points: int
     axes: tuple[np.ndarray, np.ndarray]
     blocks: tuple[tuple[slice, slice, np.ndarray], ...]
-    cross: np.ndarray
-    chol: np.ndarray
+    local: tuple[LocalDraw, ...]
 
 
 def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
@@ -588,7 +604,7 @@ def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
         axes = (_fold_basis(nx), _fold_basis(ny))
     rest = pts[n_grid:]
     cross = np.empty((n_grid, len(rest)))
-    chol = np.empty((0, 0))
+    local = ()
     if len(rest):
         if n_grid:
             c_gr = _cross_cov(pts[:n_grid], rest, spec)
@@ -603,8 +619,9 @@ def field_kernel(points, spec: MaternSpec, lattice=None) -> FieldKernel:
         cov = cov_matrix(rest, spec)
         if n_grid:
             cov -= cross.T @ cross
-        chol = _chol_in_place(cov)
-    return FieldKernel(n, axes, blocks, cross, chol)
+        local = (LocalDraw(np.arange(len(rest)), np.arange(n_grid), cross,
+                           _chol_in_place(cov)),)
+    return FieldKernel(axes, blocks, local)
 
 
 @dataclass(frozen=True)
@@ -644,36 +661,20 @@ def kriging(points, spec: MaternSpec, cond, kernel) -> Kriging:
     values at the rows ``cond``, in the order the values will come.
 
     Raises ``CapacityError``, before the borehole block is built, when it
-    and ``kernel``'s factors square to more than ``CHOLESKY_BUDGET``^2 in
-    all (``_check_budget``).  A lattice kernel's torus has its own bound
-    (``lattice_kernel``), so there the borehole block counts alone.
+    and ``kernel``'s factors, its ``LocalDraw`` factors and a folded
+    kernel's blocks, square to more than ``CHOLESKY_BUDGET``^2 in all
+    (``_check_budget``); a lattice kernel's torus has its own bound
+    (``lattice_kernel``).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cond = np.asarray(cond, dtype=int)
-    sizes = [cond.size]
+    sizes = [cond.size] + [d.chol.shape[0] for d in kernel.local]
     if isinstance(kernel, FieldKernel):
-        sizes += [chol.shape[0] for *_, chol in kernel.blocks] + [kernel.chol.shape[0]]
+        sizes += [chol.shape[0] for *_, chol in kernel.blocks]
     _check_budget(len(pts), sizes)
     bh_cov = cov_matrix(pts[cond], spec)
     weights = cho_solve((chol_psd(bh_cov), True), _cross_cov(pts[cond], pts, spec)).T
     return Kriging(kernel, cond, bh_cov, weights)
-
-
-@dataclass(frozen=True)
-class LocalDraw:
-    """Appended points drawn together from the lattice nodes around them.
-
-    ``rows`` are the points' offsets past the nodes, ``nodes`` the union U of
-    their neighbourhoods (flat node indices, x major), ``weights`` the
-    simple-kriging weights C_UU^-1 C_U,rows and ``chol`` the factor of the
-    kriging error covariance C_rows - weights' C_U,rows: the points are
-    weights' Y_U + chol z (Vecchia 1988, *JRSS-B* 50:297).
-    """
-
-    rows: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    chol: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -981,40 +982,34 @@ def draw_field(kernel: FieldKernel | LatticeKernel, rng) -> np.ndarray:
     """One unconditional standardized field from a ``field_kernel`` or a
     ``lattice_kernel`` (extended by ``local_draws`` or not).
 
-    Lattice draws filter standard normals on the torus by the square-root
-    spectrum and keep the grid's corner, raveled in ``SimGrid.points`` order
-    (x index major); the appended points then take one more standard normal
-    each, in row order, for their ``LocalDraw`` noise.  Field kernel draws
-    take ``n_points`` standard normals and apply the kernel's factors
-    (``FieldKernel``); over scattered points that is ``chol @ z``.
+    A lattice draw filters standard normals on the torus by the square-root
+    spectrum and keeps the grid's corner, raveled in ``SimGrid.points``
+    order (x index major); a field kernel draw applies the folded factors
+    to one standard normal per node, z_g (``FieldKernel``).  Every
+    ``LocalDraw`` then reads its source, the torus draw or z_g, and takes one
+    more standard normal per point, in row order (scattered: ``chol @ z``).
     Conditioning values enter afterwards, by a ``Kriging`` step.
     """
     if isinstance(kernel, LatticeKernel):
         z = rng.standard_normal(kernel.shape)
-        f = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
-        nodes = f[: kernel.nx, : kernel.ny].ravel()
-        if not kernel.local:
-            return nodes
-        n_grid, torus = nodes.size, f.ravel()
-        z = rng.standard_normal(sum(d.rows.size for d in kernel.local))
-        out = np.concatenate([nodes, np.empty(z.size)])
-        for d in kernel.local:
-            out[n_grid + d.rows] = d.weights.T @ torus[d.nodes] + d.chol @ z[d.rows]
-        return out
-    z = rng.standard_normal(kernel.n_points)
-    out = np.empty(kernel.n_points)
-    n_grid = kernel.cross.shape[0]
-    out[n_grid:] = kernel.chol @ z[n_grid:]
-    if n_grid:
+        torus = fft.irfft2(kernel.sqrt_eig * fft.rfft2(z), s=kernel.shape)
+        nodes, source = torus[: kernel.nx, : kernel.ny].ravel(), torus.ravel()
+    else:
         qx, qy = kernel.axes
+        source = rng.standard_normal(len(qx) * len(qy))
         folded = np.empty((len(qx), len(qy)))
         start = 0
         for xs, ys, chol in kernel.blocks:
             stop = start + chol.shape[0]
-            folded[xs, ys] = (chol @ z[start:stop]).reshape(xs.stop - xs.start, -1)
+            folded[xs, ys] = (chol @ source[start:stop]).reshape(xs.stop - xs.start, -1)
             start = stop
-        out[:n_grid] = (qx.T @ folded @ qy).ravel()
-        out[n_grid:] += kernel.cross.T @ z[:n_grid]
+        nodes = (qx.T @ folded @ qy).ravel()
+    if not kernel.local:
+        return nodes
+    z = rng.standard_normal(sum(d.rows.size for d in kernel.local))
+    out = np.concatenate([nodes, np.empty(z.size)])
+    for d in kernel.local:
+        out[nodes.size + d.rows] = d.weights.T @ source[d.nodes] + d.chol @ z[d.rows]
     return out
 
 

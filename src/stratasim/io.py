@@ -38,11 +38,12 @@ def _fmt(v) -> str:
 
 @contextmanager
 def _open(path):
-    """``path`` opened for reading as UTF-8, its newlines left as ``csv``
-    wants them.  A file that cannot be opened, or whose bytes do not decode
-    as the reader reads them, raises ``DatasetError``."""
+    """``path`` opened for reading as UTF-8, past a byte-order mark if it
+    starts with one, its newlines left as ``csv`` wants them.  A file that
+    cannot be opened, or whose bytes do not decode as the reader reads
+    them, raises ``DatasetError``."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read ({exc})") from exc
     with fh:

@@ -296,16 +296,23 @@ def sample_gaussian_field(points, spec, rng, cond_points=None, cond_values=None,
 
 
 class _FixedNormals:
-    """Stands in for a generator: ``standard_normal`` returns ``z``, then each
-    of ``more`` in turn."""
+    """Stands in for a generator: ``standard_normal`` hands out ``z`` and
+    then each of ``more``, raveled, in consecutive pieces of the sizes asked
+    for.  Each instance joins ``made``, the list ``conftest.py`` gives each
+    test and then checks for normals that were never handed out."""
+
+    made = []
 
     def __init__(self, z, *more):
-        self.queue = [z, *more]
+        self.left = np.concatenate([np.ravel(a) for a in (z, *more)])
+        _FixedNormals.made.append(self)
 
     def standard_normal(self, size):
-        z = self.queue.pop(0)
-        assert z.shape == (size if isinstance(size, tuple) else (size,))
-        return z
+        shape = size if isinstance(size, tuple) else (size,)
+        n = int(np.prod(shape))
+        assert n <= self.left.size, f"asked for {n} normals, {self.left.size} left"
+        piece, self.left = self.left[:n].reshape(shape), self.left[n:].copy()
+        return piece
 
 
 def torus_negative_mass(shape, spacing, spec) -> float:

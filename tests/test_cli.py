@@ -56,6 +56,19 @@ class TestRunConfig:
         with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot decode as UTF-8 (")):
             RunConfig.from_file(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a UTF-8 byte-order mark is not part of the first key
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfn_iter = 10\nburn_in = 2\n")
+        cfg = RunConfig.from_file(path)
+        assert cfg.n_iter == 10 and cfg.burn_in == 2
+
+    def test_key_given_twice_takes_its_last_value(self, tmp_path):
+        # so a base config can be overridden by appending lines to it
+        path = tmp_path / "run.cfg"
+        path.write_text("n_iter = 10\nburn_in = 2\nn_iter = 4\n")
+        assert RunConfig.from_file(path).n_iter == 4
+
     @pytest.mark.parametrize(
         "line", ["d_mu = nan", "mu0 = inf", "p_split = nan", "t0 = nan",
                  "param.Green.mu = -inf"],

@@ -157,7 +157,7 @@ class TestCholPsd:
         pts[-1] = pts[-2] + [0.0, 1e-9]
         spec = MaternSpec(1.5, 1.0)
         cov = cov_matrix(pts, spec)
-        chol = field_kernel(pts, spec).chol
+        chol = field_kernel(pts, spec).local[0].chol
         assert np.array_equal(chol, np.tril(chol))
         err = chol @ chol.T - cov
         jitter = np.diag(err)
@@ -501,13 +501,13 @@ class TestFieldKernel:
         pts, cond = self._points()
         kernel = kriging(pts, spec, cond, field_kernel(pts, spec)).kernel
         assert [len(c) for c in built] == [len(pts), len(cond)]
-        assert np.shares_memory(kernel.chol, built[0])
+        assert np.shares_memory(kernel.local[0].chol, built[0])
         built.clear()
         grid = TestFoldedKernel.lattice_points(6, 5, 1.0)
         pts = np.vstack([grid, [[2.4, 1.3], [7.0, 2.0]]])
         kernel = kriging(pts, spec, [31, 3, 30], field_kernel(pts, spec, (6, 5, 1.0))).kernel
         assert [len(c) for c in built] == [2, 3]
-        assert np.shares_memory(kernel.chol, built[0])
+        assert np.shares_memory(kernel.local[0].chol, built[0])
 
     def test_peak_memory_is_one_n_by_n_buffer(self):
         # a 36 x 36 grid and 4 appended boreholes, 8 boreholes in all: the
@@ -622,6 +622,26 @@ class TestFoldedKernel:
         monkeypatch.setattr(gaussnum, "matern", unbuilt)
         with pytest.raises(CapacityError):
             kriging(pts, spec, [0, 9, 18], torus)
+
+    def test_budget_counts_the_local_draws_beside_the_torus(self, monkeypatch):
+        # points appended to a torus are drawn by ``LocalDraw`` factors, which
+        # count as a folded kernel's do: a borehole block of 2 and two local
+        # factors of 1 fit a budget of 3, not one of 2, though the borehole
+        # block alone would, and no covariance is built before
+        spec = MaternSpec(1.5, 10.0)
+        pts = np.vstack([self.lattice_points(50, 50, 2.0), [[10.3, 12.6], [20.5, 3.2]]])
+        kernel = gaussnum.grid_kernel(pts, spec, (50, 50, 2.0))
+        assert [d.chol.shape[0] for d in kernel.local] == [1, 1]
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 3)
+        kriging(pts, spec, [0, 2500], kernel)
+        monkeypatch.setattr(gaussnum, "CHOLESKY_BUDGET", 2)
+
+        def unbuilt(*args):
+            raise AssertionError("a covariance was built beyond the budget")
+
+        monkeypatch.setattr(gaussnum, "matern", unbuilt)
+        with pytest.raises(CapacityError):
+            kriging(pts, spec, [0, 2500], kernel)
 
 
 class TestSampleGaussianField:

@@ -1,5 +1,6 @@
 """File formats round-trip bit-exactly; malformed inputs fail with line info."""
 
+import pickle
 import re
 
 import numpy as np
@@ -314,6 +315,26 @@ def test_undecodable_file_is_a_dataset_error(tmp_path, load):
     path.write_bytes(b"\xff\xfe\x00Green\n")
     with pytest.raises(DatasetError, match=re.escape(f"{path}: cannot decode as UTF-8 (")):
         load(path)
+
+
+# a file each reader of ``_EVERY_READER`` accepts, in its order
+_WRITERS = [
+    lambda path: io.save_parent(path, PARENT),
+    lambda path: io.save_boreholes(path, _boreholes()),
+    lambda path: io.save_truth(path, list(_samples()[0].configs), PARENT),
+    lambda path: io.save_samples(path, _samples(), ["Green", "Red", "Blue"]),
+    lambda path: io.save_configurations(path, _samples(), PARENT),
+]
+
+
+@_EVERY_READER
+def test_byte_order_mark_is_skipped(tmp_path, load):
+    # a UTF-8 byte-order mark, as some editors save one, is not part of the
+    # first field: the file loads as it does without the mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    dict(zip(_EVERY_READER.args[1], _WRITERS))[load](plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert pickle.dumps(load(marked)) == pickle.dumps(load(plain))
 
 
 class TestGridWriters:
