@@ -40,6 +40,7 @@ def cmd_fit(args) -> int:
     io.save_samples(out / "samples.csv", samples, groups)
     io.save_configurations(out / "configurations.csv", samples, parent)
     io.save_diagnostics(out / "diagnostics.csv", diagnostics)
+    io.save_trace(out / "trace.csv", diagnostics)
     if samples:
         io.save_summary(out / "summary.csv", samples, groups)
     print(f"wrote {len(samples)} posterior samples to {out}")

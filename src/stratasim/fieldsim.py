@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gaussnum, likelihood
 from .core import AugmentedConfiguration, ParentSequence
-from .errors import ParameterError, PlacementError
+from .errors import DegenerateRegionError, NumericError, ParameterError, PlacementError
 from .likelihood import LayerParams
 
 UNDEFINED_FACIES = "undefined"
@@ -225,10 +225,13 @@ def simulate_conditional(
     nodes are finally overwritten with the conditioning thicknesses.  With
     no borehole nothing is kriged: the result is ``simulate_unconditional``'s.
 
-    Each layer's stream is read in this order: the truncated draw's
-    uniforms, then the kernel's normals: the torus's or one per node, then
-    one per appended borehole; with every row conditioned nothing is drawn
-    for the field.
+    The zero-site latents are an exact draw (``gaussnum.sample_truncated_mvn``);
+    a ``DegenerateRegionError`` or ``NumericError`` of that draw names the
+    layer and its facies.  Each layer's stream is read in this order: the
+    truncated draw's batches of uniforms and exponentials, as many as it
+    takes to accept, then the kernel's normals: the torus's or one per node,
+    then one per appended borehole; with every row conditioned nothing is
+    drawn for the field.
     """
     return _simulate(grid, params_by_layer, parent, configs, locations, seed)
 
@@ -262,7 +265,13 @@ def _simulate(grid, params_by_layer, parent, configs, locations, seed) -> LayerS
                     m, v = gaussnum.condition(
                         krig.bh_cov, np.nonzero(pos)[0], np.nonzero(~pos)[0], w_known[pos]
                     )
-                    w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
+                    try:
+                        w_known[~pos] = gaussnum.sample_truncated_mvn(m, v, prm.tau, rng)
+                    except (DegenerateRegionError, NumericError) as exc:
+                        raise type(exc)(
+                            f"layer {j} ({parent.layers[j]}), zero-thickness sites: {exc}",
+                            position=j,
+                        ) from exc
                 w = krig.draw(rng, w_known)
             thickness[j] = likelihood.thickness_from_latent(w, prm)
             thickness[j, bh_idx] = z_j

@@ -3,11 +3,12 @@
 Matern correlations (half-integer closed forms), covariance assembly,
 Gaussian conditioning through one ``ConditionalKernel`` (the layer
 likelihood's kernel, which ``condition`` and ``mvn_logpdf`` also use),
-orthant probabilities by randomized quasi-Monte Carlo, truncated multivariate
-normal sampling, and random field simulation: exact Cholesky factors for any
-point set (four reflection-folded quarter blocks over a lattice, one dense
-factor elsewhere) and FFT circulant embedding for regular grids, both drawing
-the points after the nodes as ``LocalDraw``s; ``grid_kernel`` picks one on a
+orthant probabilities by randomized quasi-Monte Carlo, exact truncated
+multivariate normal sampling by minimax tilting, and random field
+simulation: exact Cholesky factors for any point set (four
+reflection-folded quarter blocks over a lattice, one dense factor
+elsewhere) and FFT circulant embedding for regular grids, both drawing the
+points after the nodes as ``LocalDraw``s; ``grid_kernel`` picks one on a
 grid, and one kriging step conditions either draw on borehole values.
 """
 
@@ -323,6 +324,13 @@ def check_cdf_tol(tol: float):
         raise ParameterError(f"the orthant-probability tolerance must be positive, got {tol}")
 
 
+def _genz_order(bc, cov):
+    """The Genz variable order, by increasing marginal probability of
+    X_i < bc_i for X ~ N(0, cov), and the Cholesky factor of ``cov`` in it."""
+    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
+    return order, chol_psd(cov[order[:, None], order])
+
+
 def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
     """P(X_1 < b_1, ..., X_d < b_d) with an error estimate.
 
@@ -352,9 +360,8 @@ def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
         sd = np.sqrt(cov[0, 0])
         return float(ndtr(bc[0] / sd)), 0.0
 
-    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
+    order, chol = _genz_order(bc, cov)
     bo = bc[order]
-    chol = chol_psd(cov[order[:, None], order])
     shifts, u = _first_round(d - 1)
 
     # one row of point scores per shift, in Sobol order; the estimate and its
@@ -376,7 +383,8 @@ def mvn_cdf_below(upper, mean, cov, tol: float = 1e-4):
 
 
 def _ppf_below(u, b):
-    """``scipy.stats.truncnorm.ppf(u, -inf, b)`` in closed form, bit for bit.
+    """``scipy.stats.truncnorm.ppf(u, -inf, b)`` in closed form, bit for bit,
+    elementwise.
 
     The draw x solves Phi(x) = u Phi(b) in log space:
     x = ndtri_exp(log u + log Phi(b)), with log Phi(b) taken as ``log_ndtr(b)``
@@ -384,56 +392,184 @@ def _ppf_below(u, b):
     uses.  ``scipy.special.log1p`` is the one scipy calls; numpy's differs in
     the last bit.  Deep lower tails stay finite.
     """
-    log_mass = log_ndtr(b) if b <= 0 else log1p(-ndtr(-b))
+    # np.where evaluates both branches; |b| keeps the unused one finite
+    log_mass = np.where(b <= 0, log_ndtr(b), log1p(-ndtr(-np.abs(b))))
     return ndtri_exp(np.log(u) + log_mass)
 
 
-# Gibbs sweeps of ``sample_truncated_mvn``: burn-in, then the kept sweeps.
-_GIBBS_BURN_IN = 20
-_GIBBS_SWEEPS = 50
+# ``sample_truncated_mvn``: Newton steps of the tilt solve and the gradient
+# size that ends it, relative to the largest unknown (at least 1); proposals
+# in the first batch, and the largest batch (a batch that accepts none
+# doubles the next).
+_TILT_STEPS = 50
+_TILT_TOL = 1e-10
+_FIRST_BATCH = 8
+_MAX_BATCH = 1 << 14
+
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def _tilt_gradient(y, strict, b):
+    """Gradient of Botev's psi(x, mu) in y = (x_1..x_{d-1}, mu_1..mu_{d-1}),
+    with the tilted bounds t and r = phi(t) / Phi(t) that its Jacobian reads.
+
+    psi(x, mu) = sum_k log Phi(t_k) + mu_k^2 / 2 - x_k mu_k, with tilted bounds
+    t = b - mu - strict x and x_d = mu_d = 0; its gradient is
+    (-mu - strict' r, mu - x - r), each cut to its first d - 1 entries.
+    """
+    d = b.size
+    x, mu = np.zeros(d), np.zeros(d)
+    x[:-1], mu[:-1] = y[: d - 1], y[d - 1 :]
+    t = b - mu - strict @ x
+    r = np.exp(-0.5 * t * t - log_ndtr(t) - _LOG_SQRT_2PI)
+    return np.concatenate([(-mu - r @ strict)[:-1], (mu - x - r)[:-1]]), t, r
+
+
+def _tilt_jacobian(strict, t, r):
+    """Jacobian of ``_tilt_gradient``: [[S' Q S, M'], [M, I + Q]], with
+    S = ``strict``, Q = diag(q) for q = -r (r + t), the derivative of r in t,
+    and M = Q S - I, each block cut to its first d - 1 rows and columns."""
+    n = t.size - 1
+    q = -r * (r + t)
+    qs = q[:, None] * strict
+    jac = np.zeros((2 * n, 2 * n))
+    jac[:n, :n] = strict[:, :n].T @ qs[:, :n]
+    jac[n:, :n] = qs[:n, :n] - np.eye(n)
+    jac[:n, n:] = jac[n:, :n].T
+    jac[n:, n:][np.diag_indices(n)] = 1.0 + q[:n]
+    return jac
+
+
+def minimax_tilt(strict, b):
+    """Botev's minimax tilt of P(Z_k < b_k - (strict Z)_k for all k), Z ~ N(0, I),
+    the scaled upper-only orthant of ``sample_truncated_mvn``.
+
+    ``strict`` is the unit-diagonal Cholesky factor with its diagonal zeroed.
+    Returns (mu, psi_star): the tilt (mu_d = 0) and a bound psi_star on
+    psi(z; mu) over all z, so exp(psi_star) >= P.  psi is concave in x, so
+    any root of the gradient (``_tilt_gradient``) gives psi_star = psi(x*, mu*)
+    = max_x psi(x, mu*).  The root is found by damped Newton from zero
+    (``_damped_newton_step``).  A solve that does not end within
+    ``_TILT_STEPS`` steps, or whose step fails, falls back to no tilt, mu = 0,
+    whose psi is a sum of log probabilities bounded by its first term
+    log Phi(b_1).  Either is exact; no tilt accepts P / Phi(b_1) of its
+    proposals.
+    """
+    d = b.size
+    y = np.zeros(2 * (d - 1))
+    grad, t, r = _tilt_gradient(y, strict, b)
+    steps = 0
+    while np.max(np.abs(grad), initial=0.0) > _TILT_TOL * np.max(np.abs(y), initial=1.0):
+        steps += 1
+        with np.errstate(over="ignore", invalid="ignore"):  # a far trial step is halved
+            trial = _damped_newton_step(y, grad, t, r, strict, b) if steps <= _TILT_STEPS else None
+        if trial is None:
+            return np.zeros(d), float(log_ndtr(b[0]))
+        y, (grad, t, r) = trial
+    x, mu = np.append(y[: d - 1], 0.0), np.append(y[d - 1 :], 0.0)
+    return mu, float(np.sum(log_ndtr(t) + mu * (0.5 * mu - x)))
+
+
+def _damped_newton_step(y, grad, t, r, strict, b):
+    """One Newton step from y: (the new point, ``_tilt_gradient`` there).
+
+    The full step is halved until the new point lowers the gradient's norm
+    or passes the natural monotonicity test (Deuflhard): the correction the
+    old Jacobian gives at the new point is shorter than the full step.  The
+    second test lets a step through whose unknowns differ in scale by orders
+    of magnitude, such as a large tilt beside a bound near zero.  None if
+    the Jacobian is singular or no step of at least 1e-9 of the full one
+    passes."""
+    jac = _tilt_jacobian(strict, t, r)
+    try:
+        step = np.linalg.solve(jac, -grad)
+    except np.linalg.LinAlgError:
+        return None
+    scale = 1.0
+    while scale >= 1e-9:
+        trial = y + scale * step
+        terms = _tilt_gradient(trial, strict, b)
+        g_trial = terms[0]
+        if g_trial @ g_trial < grad @ grad:
+            return trial, terms
+        correction = np.linalg.solve(jac, g_trial)
+        if correction @ correction < step @ step:
+            return trial, terms
+        scale *= 0.5
+    return None
+
+
+def _tilted_proposals(strict, b, mu, u):
+    """Proposals of the tilted sequential draw on the uniforms u, shape
+    (n, d): (z, shift, psi), with shift = strict z row by row and psi(z; mu).
+
+    Coordinate k is z_k = mu_k + ``_ppf_below``(u_k, t_k), with the tilted
+    bound t_k = b_k - mu_k - shift_k: the normal N(mu_k, 1) truncated to the
+    region given the coordinates before it.  shift_k = sum_{j<k} strict_kj z_j
+    is accumulated one coordinate j at a time, in increasing j.
+    """
+    n, d = u.shape
+    z = np.empty((n, d))
+    shift = np.zeros((n, d))
+    psi = np.zeros(n)
+    for k in range(d):
+        t = b[k] - mu[k] - shift[:, k]
+        z[:, k] = mu[k] + _ppf_below(u[:, k], t)
+        psi += log_ndtr(t) + mu[k] * (0.5 * mu[k] - z[:, k])
+        shift[:, k + 1 :] += z[:, k, None] * strict[k + 1 :, k]
+    return z, shift, psi
 
 
 def sample_truncated_mvn(mean, cov, upper: float, rng) -> np.ndarray:
-    """Approximate draw of X ~ N(mean, cov) conditioned on every coordinate < upper.
+    """Exact draw of X ~ N(mean, cov) conditioned on every coordinate < upper.
 
-    Dimension 1 is an exact inverse-CDF draw.  Otherwise this is the state of
-    a Gibbs sampler over the univariate truncated-normal full conditionals
-    after a fixed 20 + 50 sweeps from a deterministic start, not
-    an independent draw: no distance to the truncated law is stated, and an
-    exact sampler (minimax tilting) is still to come.  Deterministic given the
-    rng state; one uniform per coordinate per sweep, drawn up front.  Raises
-    ``DegenerateRegionError`` when the region has vanishing probability.
+    Botev's minimax-tilted accept-reject sampler (2017, JRSS-B 79:125) on
+    the upper-only orthant.  The coordinates are taken in ``mvn_cdf_below``'s
+    order, with X = mean + L Z for the reordered Cholesky factor L, and Z is
+    scaled so that L has a unit diagonal.  ``minimax_tilt`` gives the tilt mu
+    and the bound psi_star; a proposal from ``_tilted_proposals`` is accepted
+    when E > psi_star - psi(Z), E ~ Exp(1), which makes accepted proposals
+    iid draws of the truncated law.  The first accepted proposal of a batch
+    is returned.
+
+    The rng is read batch by batch: n x d uniforms (``rng.random((n, d))``,
+    one row per proposal), then n exponentials, with n = 8, 16, 32, ... until
+    a batch accepts, so the number of values read varies.  Raises
+    ``DegenerateRegionError`` when exp(psi_star), which bounds the region's
+    probability from above, is below 1e-300, and ``NumericError`` when no
+    batch up to ``_MAX_BATCH`` proposals accepts.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.size
     if d == 0:
         return np.zeros(0)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    sd = np.sqrt(np.diag(cov))
-    prob, _ = mvn_cdf_below(np.full(d, upper), mean, cov, tol=1e-2)
-    if prob < _PROB_FLOOR:
+    bc = upper - mean
+    order, chol = _genz_order(bc, cov)
+    diag = np.diag(chol)
+    strict = np.tril(chol / diag[:, None], -1)
+    b = bc[order] / diag
+    mu, psi_star = minimax_tilt(strict, b)
+    if psi_star < np.log(_PROB_FLOOR):
         raise DegenerateRegionError(
-            f"truncation region below {upper} has vanishing probability"
+            f"truncation region below {upper} has vanishing probability "
+            f"(at most exp({psi_star:.4g}))"
         )
-    if d == 1:
-        beta = (upper - mean[0]) / sd[0]
-        u = rng.random()
-        return mean + sd * _ppf_below(u, beta)
-
-    chol = chol_psd(cov)
-    prec = np.linalg.inv(chol.T) @ np.linalg.inv(chol)
-    prec_diag = np.diag(prec)
-    cond_var = 1.0 / prec_diag
-    cond_sd = np.sqrt(cond_var)
-
-    x = np.minimum(mean, upper - 0.5 * sd)
-    for u in rng.random((_GIBBS_BURN_IN + _GIBBS_SWEEPS, d)):
-        for i in range(d):
-            r = prec[i] @ (x - mean) - prec_diag[i] * (x[i] - mean[i])
-            m_i = mean[i] - cond_var[i] * r
-            beta = (upper - m_i) / cond_sd[i]
-            x[i] = m_i + cond_sd[i] * _ppf_below(u[i], beta)
-    return x
+    n = _FIRST_BATCH
+    while n <= _MAX_BATCH:
+        u = rng.random((n, d))
+        e = rng.standard_exponential(n)
+        z, shift, psi = _tilted_proposals(strict, b, mu, u)
+        hit = np.flatnonzero(e > psi_star - psi)
+        if hit.size:
+            x = np.empty(d)
+            x[order] = mean[order] + diag * (z[hit[0]] + shift[hit[0]])  # L z
+            return x
+        n *= 2
+    raise NumericError(
+        f"truncated draw below {upper} accepted none of {2 * _MAX_BATCH - _FIRST_BATCH} "
+        f"proposals (region probability at most exp({psi_star:.4g}))"
+    )
 
 
 def _cross_cov(a, b, spec: MaternSpec) -> np.ndarray:

@@ -301,6 +301,17 @@ def save_diagnostics(path, diagnostics: dict):
             writer.writerow(["move", kind, c["accepted"], c["proposed"], c["infeasible"]])
 
 
+def save_trace(path, diagnostics: dict):
+    """``iteration,loglik`` rows: the complete-data log-likelihood of the
+    chain state after each iteration, with iteration 0 the initial state."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "loglik"])
+        writer.writerow([0, _fmt(diagnostics["initial_loglik"])])
+        for it, loglik in enumerate(diagnostics["loglik_trace"], start=1):
+            writer.writerow([it, _fmt(loglik)])
+
+
 def save_summary(path, samples: list[PosteriorSample], groups: list[str]):
     """Posterior medians and 0.05/0.95 quantiles per parameter and group."""
     with open(path, "w", newline="") as fh:

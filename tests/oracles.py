@@ -7,10 +7,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import optimize
 from scipy.fft import next_fast_len
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc, truncnorm
+from scipy.stats import norm, qmc, truncnorm
 
 from stratasim import fieldsim, gaussnum, likelihood
 from stratasim.core import (
@@ -20,7 +21,7 @@ from stratasim.core import (
     enumerate_moves,
     snap_thickness,
 )
-from stratasim.errors import DegenerateRegionError
+from stratasim.errors import DegenerateRegionError, NumericError
 from stratasim.mcmc import PosteriorSample
 
 
@@ -179,40 +180,86 @@ def layer_loglik(z_col, locations, params, cdf_tol):
 
 
 def sample_truncated_mvn(mean, cov, upper, rng):
-    """Gibbs draw of N(mean, cov) below ``upper`` through ``truncnorm.ppf``:
-    20 burn-in sweeps, then 50 more.
+    """Minimax-tilted accept-reject draw of N(mean, cov) below ``upper``,
+    one proposal at a time, each coordinate through ``truncnorm.ppf``.
 
-    One uniform per coordinate update, drawn as it is used, and the
-    precision diagonal read inside the sweep.
+    The coordinates are ordered by marginal probability and the Cholesky
+    factor is scaled to a unit diagonal; the tilt mu and the bound psi_star
+    come from ``gaussnum.minimax_tilt`` (which ``minimax_tilt`` below checks).
+    Proposal z has z_k = mu_k + ppf(u_k, t_k) with t_k = b_k - mu_k -
+    sum_{j<k} S_kj z_j, and is accepted when e > psi_star - psi(z), with
+    psi(z) = sum_k log Phi(t_k) + mu_k^2 / 2 - z_k mu_k.  Batches of n = 8,
+    16, ... proposals read n x d uniforms, then n exponentials, as the
+    package's do.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     d = mean.size
     if d == 0:
         return np.zeros(0)
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    sd = np.sqrt(np.diag(cov))
-    prob, _ = gaussnum.mvn_cdf_below(np.full(d, upper), mean, cov, tol=1e-2)
-    if prob < 1e-300:
+    bc = upper - mean
+    order = np.argsort(ndtr(bc / np.sqrt(np.diag(cov))))
+    chol = gaussnum.chol_psd(cov[np.ix_(order, order)])
+    strict = np.tril(chol / np.diag(chol)[:, None], -1)
+    b = bc[order] / np.diag(chol)
+    mu, psi_star = gaussnum.minimax_tilt(strict, b)
+    if psi_star < np.log(1e-300):
         raise DegenerateRegionError("vanishing truncation region")
-    if d == 1:
-        beta = (upper - mean[0]) / sd[0]
-        u = rng.random()
-        return mean + sd * truncnorm.ppf(u, -np.inf, beta)
+    n = 8
+    while n <= 1 << 14:
+        u = rng.random((n, d))
+        e = rng.standard_exponential(n)
+        for i in range(n):
+            z, shift = np.zeros(d), np.zeros(d)
+            psi = 0.0
+            for k in range(d):
+                for j in range(k):
+                    shift[k] += strict[k, j] * z[j]
+                t = b[k] - mu[k] - shift[k]
+                z[k] = mu[k] + truncnorm.ppf(u[i, k], -np.inf, t)
+                psi += norm.logcdf(t) + 0.5 * mu[k] ** 2 - z[k] * mu[k]
+            if e[i] > psi_star - psi:
+                x = np.empty(d)
+                x[order] = mean[order] + np.diag(chol) * (z + shift)  # chol @ z
+                return x
+        n *= 2
+    raise NumericError("no proposal accepted")
 
-    chol = gaussnum.chol_psd(cov)
-    prec = np.linalg.inv(chol.T) @ np.linalg.inv(chol)
-    cond_var = 1.0 / np.diag(prec)
-    cond_sd = np.sqrt(cond_var)
 
-    x = np.minimum(mean, upper - 0.5 * sd)
-    for _ in range(20 + 50):
-        for i in range(d):
-            r = prec[i] @ (x - mean) - prec[i, i] * (x[i] - mean[i])
-            m_i = mean[i] - cond_var[i] * r
-            beta = (upper - m_i) / cond_sd[i]
-            u = rng.random()
-            x[i] = m_i + cond_sd[i] * truncnorm.ppf(u, -np.inf, beta)
-    return x
+def minimax_tilt(strict, b):
+    """Botev's tilt (mu, psi_star) from ``scipy.optimize.root`` on the
+    gradient of psi(x, mu) = sum_k log Phi(t_k) + mu_k^2 / 2 - x_k mu_k,
+    t = b - mu - strict x, in (x_1..x_{d-1}, mu_1..mu_{d-1}), with a
+    finite-difference Jacobian."""
+    d = len(b)
+
+    def split(y):
+        return np.append(y[: d - 1], 0.0), np.append(y[d - 1:], 0.0)
+
+    def grad(y):
+        x, mu = split(y)
+        t = b - mu - strict @ x
+        r = np.exp(norm.logpdf(t) - norm.logcdf(t))
+        return np.concatenate([-mu[:-1] - (strict.T @ r)[:-1], (mu - x - r)[:-1]])
+
+    sol = optimize.root(grad, np.zeros(2 * (d - 1)), method="hybr", tol=1e-13)
+    assert sol.success, sol.message
+    x, mu = split(sol.x)
+    t = b - mu - strict @ x
+    return mu, float(np.sum(norm.logcdf(t) + 0.5 * mu**2 - x * mu))
+
+
+def rejection_draws(mean, cov, upper, n, seed):
+    """``n`` draws of N(mean, cov) below ``upper`` by plain rejection."""
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(cov)
+    kept, total = [], 0
+    while total < n:
+        x = mean + rng.standard_normal((100_000, len(mean))) @ chol.T
+        x = x[np.all(x < upper, axis=1)]
+        kept.append(x)
+        total += len(x)
+    return np.concatenate(kept)[:n]
 
 
 def _mirror_basis(n):

@@ -225,6 +225,17 @@ class TestFit:
         assert sorted(groups) == ["Black", "Blue", "Green", "Red"]
         assert len(rows) == 4  # (60 - 20) / 10
 
+    def test_trace_ends_at_the_last_iteration(self, workspace):
+        root, _ = workspace
+        out = root / "out"
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iteration,loglik"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(it) for it, _ in rows] == list(range(61))  # iteration 0: the start
+        _, samples = io.load_samples(out / "samples.csv")
+        last_iteration, _, last_loglik = samples[-1]
+        assert last_iteration == 60 and float(rows[-1][1]) == last_loglik
+
     def test_summary_covers_all_parameters(self, workspace):
         root, _ = workspace
         lines = (root / "out" / "summary.csv").read_text().splitlines()
@@ -389,6 +400,26 @@ class TestSimulate:
         ))
         assert main(["simulate", "--config", str(cfg2), "--seed", "2",
                      "--mode", "conditional"]) == 3
+
+    def test_vanishing_truncation_region_names_the_layer_exit_4(
+        self, workspace, tmp_path, capsys
+    ):
+        # a 1000 km Black range makes its zero sites' conditional spread tiny
+        # beside their kriged distance above tau
+        def long_black_range(text):
+            rows = [line.split(",") for line in text.splitlines()]
+            col = rows[0].index("alpha_Black")
+            for row in rows[1:]:
+                row[col] = "1000.0"
+            return "\n".join(",".join(row) for row in rows) + "\n"
+
+        _, cfg = _copy_chain(workspace, tmp_path, samples=long_black_range)
+        assert main(["simulate", "--config", str(cfg), "--seed", "2",
+                     "--mode", "conditional"]) == 4
+        err = capsys.readouterr().err
+        assert re.search(r"layer \d+ \(Black\), zero-thickness sites: truncation region "
+                         r"below \S+ has vanishing probability", err), err
+        assert "Traceback" not in err
 
     def test_transect_section_outputs(self, workspace, tmp_path):
         root, cfg = workspace

@@ -559,6 +559,11 @@ class _Recorder:
         self.calls.append(("normal", out.shape))
         return out
 
+    def standard_exponential(self, size):
+        out = self.rng.standard_exponential(size)
+        self.calls.append(("exponential", out.shape))
+        return out
+
 
 class TestLatticeConditional:
     """Conditional grids drawn on the torus, appended boreholes kriged from
@@ -705,9 +710,10 @@ class TestLatticeConditional:
             gaussnum.local_draws(torus, pts[:-2], 2.0, spec)  # one point passes the rule
 
     def test_stream_order(self, monkeypatch):
-        # each layer's stream gives the truncated draw's uniforms, then the
-        # torus normals, then one normal per appended borehole; the same seed
-        # gives the same bits
+        # each layer's stream gives the truncated draw's batches (n x zeros
+        # uniforms, then n exponentials, n = 8, 16, ... until one accepts),
+        # then the torus normals, then one normal per appended borehole; the
+        # same seed gives the same bits
         recorders = {}
 
         def recording(seed, j):
@@ -725,8 +731,12 @@ class TestLatticeConditional:
         shape = gaussnum.lattice_kernel(50, 50, 2.0, PARAMS["Green"].matern_spec).shape
         for j in range(len(PARENT)):
             zeros = int(np.sum(z[:, j] == 0))
-            uniforms = [("uniform", () if zeros == 1 else (70, zeros))] if zeros else []
-            assert recorders[j].calls == uniforms + [("normal", shape), ("normal", (n_app,))]
+            calls = recorders[j].calls
+            batches = sum(kind == "uniform" for kind, _ in calls)
+            assert batches >= (zeros > 0)
+            truncated = [call for i in range(batches) for call in
+                         (("uniform", (8 << i, zeros)), ("exponential", (8 << i,)))]
+            assert calls == truncated + [("normal", shape), ("normal", (n_app,))]
         monkeypatch.undo()
         again = simulate_conditional(GRID50, PARAMS, PARENT, configs, locs, 5)
         assert np.array_equal(got.thickness, again.thickness)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import fft
+from scipy import fft, integrate, stats
 from scipy.stats import norm, truncnorm
 
 import oracles
-from stratasim.errors import CapacityError, NumericError, ParameterError
+from stratasim.errors import CapacityError, DegenerateRegionError, NumericError, ParameterError
 from stratasim import gaussnum
 from stratasim.gaussnum import (
     ALLOWED_NU,
@@ -357,7 +357,9 @@ def _truncated_case(d, seed):
 
 
 class TestSampleTruncatedMvnBits:
-    """Closed-form conditionals and up-front uniforms change no bit."""
+    """The vectorised tilted sampler gives the bits of ``oracles.
+    sample_truncated_mvn``, which draws one proposal at a time through
+    ``truncnorm.ppf``, and leaves the stream where the oracle does."""
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_equals_truncnorm_gibbs(self, d):
@@ -370,19 +372,134 @@ class TestSampleTruncatedMvnBits:
             assert rng_got.random() == rng_want.random()  # same stream position
 
     def test_deep_conditional_truncation_stays_finite(self):
-        # Strong negative correlation: from the start point x = (-0.5, -0.5)
-        # the first conditional is truncated about 42 standard deviations
-        # below its mean, where a ppf through ndtri(u * ndtr(b)) gives -inf.
+        # Strong negative correlation: P(X < 0) is about 4e-16, far below the
+        # mass Phi(b_1) of the first bound, so only a large tilt accepts.
+        # Given X_1 = -0.5 the second bound lies 42 conditional standard
+        # deviations below its conditional mean, where a ppf through
+        # ndtri(u * ndtr(b)) gives -inf.
         rho = 0.9999
         mean = np.array([0.05, 0.05])
         cov = np.array([[1.0, -rho], [-rho, 1.0]])
-        b_first = -(mean[0] + rho * (0.5 + mean[1])) / np.sqrt(1.0 - rho**2)
-        assert b_first < -40.0
+        b_second = -(mean[1] + rho * (0.5 + mean[0])) / np.sqrt(1.0 - rho**2)
+        assert b_second < -40.0
         rng, rng_want = np.random.default_rng(2), np.random.default_rng(2)
         for _ in range(5):
             x = sample_truncated_mvn(mean, cov, 0.0, rng)
             assert np.all(np.isfinite(x)) and np.all(x < 0.0)
             assert _same_bits(x, oracles.sample_truncated_mvn(mean, cov, 0.0, rng_want))
+
+
+def _tilt_inputs(mean, cov, upper):
+    """The scaled factor and bounds ``sample_truncated_mvn`` tilts."""
+    bc = upper - np.asarray(mean, dtype=float)
+    order, chol = gaussnum._genz_order(bc, np.asarray(cov, dtype=float))
+    return np.tril(chol / np.diag(chol)[:, None], -1), bc[order] / np.diag(chol)
+
+
+# Six sites 0.5 km apart on a line, Matern 3/2 at 10 km (neighbour
+# correlation 0.9988): P(X < 0) is about 0.335.  A Gibbs run of fixed length
+# mixes slowly under such correlation, so this case tells an exact sampler
+# from an approximate one.
+SIX_SITES = (
+    np.array([0.4, -0.2, 0.3, 0.1, -0.3, 0.2]),
+    cov_matrix(np.column_stack([0.5 * np.arange(6), np.zeros(6)]), MaternSpec(1.5, 10.0)),
+    0.0,
+)
+
+
+def _assert_law(draws, reference):
+    """Each coordinate's draws pass a two-sample KS test against the
+    reference draws at level 1e-3, and their mean lies within 4 standard
+    errors of the reference mean."""
+    for k in range(draws.shape[1]):
+        assert stats.ks_2samp(draws[:, k], reference[:, k]).pvalue > 1e-3, k
+        se = np.sqrt(draws[:, k].var() / len(draws) + reference[:, k].var() / len(reference))
+        assert abs(draws[:, k].mean() - reference[:, k].mean()) < 4.0 * se, k
+
+
+class TestSampleTruncatedMvnLaw:
+    """Draws follow the truncated law: quadrature at d = 1 and 2, plain
+    rejection from N(mean, cov) above, at fixed seeds."""
+
+    @pytest.mark.parametrize("mean, sd, upper", [
+        (0.0, 1.0, 0.0), (0.3, 2.0, 1.5), (2.0, 0.5, -3.0), (-1.0, 1.0, 3.0),
+    ])
+    def test_dim1_matches_truncnorm(self, mean, sd, upper):
+        rng = np.random.default_rng(11)
+        draws = [sample_truncated_mvn([mean], [[sd * sd]], upper, rng)[0] for _ in range(2000)]
+        law = truncnorm(-np.inf, (upper - mean) / sd, loc=mean, scale=sd)
+        assert stats.kstest(draws, law.cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("rho, mean, upper", [
+        (0.9, (0.5, -0.4), 0.0), (-0.95, (0.2, 0.3), 0.0), (0.3, (1.5, 2.0), -0.5),
+    ])
+    def test_dim2_marginals_match_quadrature(self, rho, mean, upper):
+        mean = np.asarray(mean)
+        cov = np.array([[1.0, rho], [rho, 1.0]])
+        rng = np.random.default_rng(12)
+        draws = np.array([sample_truncated_mvn(mean, cov, upper, rng) for _ in range(2000)])
+        assert np.all(draws < upper)
+        for k in (0, 1):
+            # density of X_k below upper: phi(x) P(X_other < upper | X_k = x)
+            other = 1 - k
+            grid = np.linspace(mean[k] - 12.0, upper, 20_001)
+            cond_mean = mean[other] + rho * (grid - mean[k])
+            dens = norm.pdf(grid, mean[k]) * norm.cdf((upper - cond_mean) / np.sqrt(1 - rho**2))
+            cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+            cdf /= cdf[-1]
+            assert stats.kstest(draws[:, k], lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("case", ["six sites", "d3", "d5", "d8"])
+    def test_matches_rejection(self, case):
+        if case == "six sites":
+            mean, cov, upper = SIX_SITES
+        else:
+            d = int(case[1:])
+            mean, cov, upper = _truncated_case(d, 7 * d)
+            mean = mean - 0.5  # keeps P(X < upper) large enough for rejection
+        rng = np.random.default_rng(13)
+        draws = np.array([sample_truncated_mvn(mean, cov, upper, rng) for _ in range(2000)])
+        _assert_law(draws, oracles.rejection_draws(mean, cov, upper, 40_000, seed=14))
+
+    def test_tilt_matches_scipy_root(self):
+        cases = [SIX_SITES] + [_truncated_case(d, 100 * d + s)
+                               for d in range(2, 13) for s in range(2)]
+        for mean, cov, upper in cases:
+            strict, b = _tilt_inputs(mean, cov, upper)
+            mu, psi_star = gaussnum.minimax_tilt(strict, b)
+            want_mu, want_psi = oracles.minimax_tilt(strict, b)
+            assert np.max(np.abs(mu - want_mu)) < 1e-8 and abs(psi_star - want_psi) < 1e-8
+            # exp(psi*) bounds the region's probability from above
+            prob, err = mvn_cdf_below(np.full(len(mean), upper), mean, cov, tol=1e-4)
+            assert np.log(prob - err) <= psi_star
+
+    def test_vanishing_region_raises_without_orthant_probe(self, monkeypatch):
+        def probe(*args, **kwargs):
+            raise AssertionError("mvn_cdf_below was called")
+
+        monkeypatch.setattr(gaussnum, "mvn_cdf_below", probe)
+        # P = Phi(-40) Phi(-40), about 1e-698, and Phi(-40) alone in one dimension
+        for mean, cov in (([40.0, 40.0], np.eye(2)), ([40.0], [[1.0]])):
+            with pytest.raises(DegenerateRegionError, match="vanishing probability"):
+                sample_truncated_mvn(mean, cov, 0.0, np.random.default_rng(0))
+
+    def test_zero_tilt_fallback_when_newton_stops_early(self, monkeypatch):
+        mean, cov, upper = SIX_SITES
+        strict, b = _tilt_inputs(mean, cov, upper)
+        monkeypatch.setattr(gaussnum, "_TILT_STEPS", 1)
+        mu, psi_star = gaussnum.minimax_tilt(strict, b)
+        assert np.all(mu == 0.0) and psi_star == norm.logcdf(b[0])
+        rng = np.random.default_rng(15)
+        draws = np.array([sample_truncated_mvn(mean, cov, upper, rng) for _ in range(2000)])
+        _assert_law(draws, oracles.rejection_draws(mean, cov, upper, 40_000, seed=14))
+
+    def test_no_acceptance_past_the_batch_cap_raises(self, monkeypatch):
+        # with no tilt, proposals are accepted at the rate P / Phi(b_1): for
+        # strongly anticorrelated coordinates both below 0, about 1e-15
+        monkeypatch.setattr(gaussnum, "_TILT_STEPS", 0)
+        cov = np.array([[1.0, -0.9999], [-0.9999, 1.0]])
+        with pytest.raises(NumericError, match="accepted none"):
+            sample_truncated_mvn([0.05, 0.05], cov, 0.0, np.random.default_rng(0))
 
 
 def _assert_draw_law(pts, spec, cond, lattice):
